@@ -87,7 +87,6 @@ from .transfer import (
     DeltaHamiltonianKernel,
     FundamentalSolution,
     K_MATRIX,
-    KMatrix,
     TransferEntry,
     auxiliary_entries,
     bare_amplitude_with_cutoff,

@@ -31,14 +31,18 @@ class Atom:
 
 @dataclass(frozen=True)
 class IntegrationDomain:
-    """Where a 1/varpi integral runs: the traveling band or a cutoff line."""
+    """Where a 1/varpi integral runs: the traveling band or a cutoff line.
+
+    There is no full-line domain: that integral diverges without a cutoff.
+    """
 
     kind: str
     lam: float | None = None
 
     def __post_init__(self):
-        if self.kind not in (BAND, FULL_LINE, "cutoff-line"):
-            raise ValidationError(f"unknown domain kind {self.kind!r}")
+        if self.kind not in (BAND, "cutoff-line"):
+            raise ValidationError(
+                f"domain kind must be {BAND!r} or 'cutoff-line', got {self.kind!r}")
         if self.kind == "cutoff-line":
             if self.lam is None or not (math.isfinite(self.lam) and self.lam > 0):
                 raise ValidationError("cutoff-line domain requires a positive cutoff")
@@ -142,7 +146,7 @@ def integrate_inverse_varpi(a: GeneralizedAmplitude, domain: IntegrationDomain,
         else:
             bg_integral = math.pi * regularized_h0_at_zero(CutoffSpec(domain.lam), d)
             p_max = domain.lam
-    else:
+    else:  # the band
         bg_integral = complex(math.pi, 0.0)
         p_max = k
 
@@ -172,7 +176,8 @@ class IncidentWave:
     theta0: float
 
     def __post_init__(self):
-        if not (isinstance(self.k, (int, float)) and math.isfinite(self.k) and self.k > 0):
+        if not (isinstance(self.k, (int, float)) and not isinstance(self.k, bool)
+                and math.isfinite(self.k) and self.k > 0):
             raise ValidationError(f"wavenumber must be positive, got {self.k!r}")
         if not (isinstance(self.theta0, (int, float)) and math.isfinite(self.theta0)):
             raise ValidationError(f"incidence angle must be finite, got {self.theta0!r}")

@@ -11,6 +11,7 @@ the spacing stays at or below 1/(50 k).
 from __future__ import annotations
 
 import math
+import numbers
 import warnings
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -19,6 +20,7 @@ import numpy as np
 
 from .amplitudes import IncidentWave
 from .errors import GridCoarseWarning, ValidationError
+from .kernel import FOUR_PI, TWO_PI
 from .singfree import FamilyParams
 from .specfun import EULER_GAMMA, hankel1_0_array
 from .transfer import (
@@ -29,9 +31,6 @@ from .transfer import (
     scattering_amplitude_dfss,
     solve_fundamental,
 )
-
-TWO_PI = 2.0 * math.pi
-FOUR_PI = 4.0 * math.pi
 
 ORIGIN_EXCLUSION_KR = 1e-6
 
@@ -48,8 +47,15 @@ class GridSpec:
     ny: int
 
     def __post_init__(self):
+        bounds = (self.x0, self.x1, self.y0, self.y1)
+        if not all(isinstance(v, numbers.Real) and math.isfinite(v) for v in bounds):
+            raise ValidationError(f"grid bounds must be finite real numbers, got {bounds!r}")
         if not (self.x0 < self.x1 and self.y0 < self.y1):
             raise ValidationError("grid bounds must be strictly increasing")
+        counts = (self.nx, self.ny)
+        if not all(isinstance(n, numbers.Integral) and not isinstance(n, bool)
+                   for n in counts):
+            raise ValidationError(f"grid point counts must be integers, got {counts!r}")
         if self.nx < 2 or self.ny < 2:
             raise ValidationError("grid needs at least 2 points per axis")
 

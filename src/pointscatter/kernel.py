@@ -28,6 +28,7 @@ from .errors import ConvergenceError, QuadratureError, ValidationError
 from .specfun import bessel_j0, hankel1_0
 
 TWO_PI = 2.0 * math.pi
+FOUR_PI = 4.0 * math.pi
 
 PV_PLUS_DELTA = "pv-delta"
 FINITE_EPSILON = "finite-epsilon"
@@ -40,7 +41,8 @@ class Dispersion:
     k: float
 
     def __post_init__(self):
-        if not (isinstance(self.k, (int, float)) and math.isfinite(self.k) and self.k > 0):
+        if not (isinstance(self.k, (int, float)) and not isinstance(self.k, bool)
+                and math.isfinite(self.k) and self.k > 0):
             raise ValidationError(f"wavenumber must be finite and positive, got {self.k!r}")
         object.__setattr__(self, "k", float(self.k))
 
@@ -54,7 +56,8 @@ class CutoffSpec:
     epsilon: float | None = None
 
     def __post_init__(self):
-        if not (isinstance(self.lam, (int, float)) and math.isfinite(self.lam) and self.lam > 0):
+        if not (isinstance(self.lam, (int, float)) and not isinstance(self.lam, bool)
+                and math.isfinite(self.lam) and self.lam > 0):
             raise ValidationError(f"cutoff must be finite and positive, got {self.lam!r}")
         object.__setattr__(self, "lam", float(self.lam))
         if self.epsilon_policy not in (PV_PLUS_DELTA, FINITE_EPSILON):

@@ -23,12 +23,9 @@ from dataclasses import dataclass
 
 from .amplitudes import Atom, GeneralizedAmplitude, FULL_LINE, IncidentWave, project_band
 from .errors import PoleError, PointScatterError, ValidationError
-from .kernel import CutoffSpec, Dispersion, regularized_h0_at_zero, varpi
+from .kernel import FOUR_PI, TWO_PI, CutoffSpec, Dispersion, regularized_h0_at_zero, varpi
 from .specfun import EULER_GAMMA, hankel1_0
 from .transfer import Coupling, FINITE, SQRT_8PI, _amplitude_pole_denominator
-
-TWO_PI = 2.0 * math.pi
-FOUR_PI = 4.0 * math.pi
 
 
 @dataclass(frozen=True)

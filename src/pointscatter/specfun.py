@@ -1,16 +1,11 @@
 """Zero-order cylinder functions: J0, Y0 and the outgoing Hankel function.
 
 Everything downstream (Green functions, regularized limits, wavefields) is
-assembled from these three functions, so they are implemented here from
-scratch: a Maclaurin series below the switchover and the Hankel-type
-asymptotic expansion above it.  The series is accumulated in double-double
-arithmetic because near the switchover the alternating terms cancel by
-roughly five orders of magnitude, which plain double accumulation cannot
-survive at the 1e-12 absolute-error level this library promises.
-
-The scalar functions follow the contract "positive real in, value out"; the
-``*_array`` variants apply the same two branches elementwise and exist for
-grid fills.  H0(1) at exactly zero argument is a hard error by design: the
+assembled from these three functions.  Values come from ``scipy.special.j0``
+and ``y0``; H0(1) is built as J0 + i Y0 from those same two values, so the
+identity holds exactly, and the ``*_array`` grid-fill variants equal the
+scalars exactly.  Arguments follow "positive real in, value out", else
+``DomainError``.  H0(1) at exactly zero is a hard error by design: the
 logarithmic divergence there must be handled explicitly by the caller (see
 ``kernel.regularized_h0_at_zero``).
 """
@@ -18,136 +13,15 @@ logarithmic divergence there must be handled explicitly by the caller (see
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
 import numpy as np
+from scipy import special
 
 from .errors import DomainError
 
 EULER_GAMMA = 0.5772156649015329
 """Euler-Mascheroni constant, 16 significant digits, fixed at compile time."""
 
-_SPLIT_X = 12.0  # series below, asymptotic expansion above
-_SERIES_TERMS = 45  # converged to double-double level at the switchover
-_ASYMPTOTIC_TERMS = 24  # near the optimal truncation order at the switchover
-_SPLITTER = 134217729.0  # 2**27 + 1, Dekker splitting constant
-
-
-# ---------------------------------------------------------------------------
-# Double-double building blocks.  They contain only +, -, *, / and therefore
-# work unchanged on Python floats and on numpy arrays (elementwise).
-
-def _two_sum(a, b):
-    s = a + b
-    bb = s - a
-    return s, (a - (s - bb)) + (b - bb)
-
-
-def _two_prod(a, b):
-    p = a * b
-    ca = _SPLITTER * a
-    a_hi = ca - (ca - a)
-    a_lo = a - a_hi
-    cb = _SPLITTER * b
-    b_hi = cb - (cb - b)
-    b_lo = b - b_hi
-    return p, ((a_hi * b_hi - p) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo
-
-
-def _dd_add(a, b):
-    s, e = _two_sum(a[0], b[0])
-    e = e + (a[1] + b[1])
-    return _two_sum(s, e)
-
-
-def _dd_mul(a, b):
-    p, e = _two_prod(a[0], b[0])
-    e = e + (a[0] * b[1] + a[1] * b[0])
-    return _two_sum(p, e)
-
-
-def _dd_div(a, d):
-    q0 = a[0] / d
-    p, e = _two_prod(q0, d)
-    r = ((a[0] - p) - e + a[1]) / d
-    return _two_sum(q0, r)
-
-
-def _harmonic_table():
-    # H_m as exact double-double constants, via rational arithmetic.
-    table = [(0.0, 0.0)]
-    h = Fraction(0)
-    for m in range(1, _SERIES_TERMS):
-        h += Fraction(1, m)
-        hi = float(h)
-        table.append((hi, float(h - Fraction(hi))))
-    return tuple(table)
-
-
-_HARMONIC = _harmonic_table()
-
-
-def _hankel_coefficients():
-    # A_j = prod_{i<=j} (2i-1)^2 / (j! 8^j)
-    coeffs = [1.0]
-    for j in range(1, _ASYMPTOTIC_TERMS):
-        coeffs.append(coeffs[-1] * (2 * j - 1) ** 2 / (8.0 * j))
-    return tuple(coeffs)
-
-
-_ASYMPTOTIC_A = _hankel_coefficients()
-
-
-# ---------------------------------------------------------------------------
-# The two branches.  Both accept a float or an ndarray.
-
-def _series_j0_y0(x, want_y0):
-    """Maclaurin series of J0, plus Y0's companion series when requested."""
-    q = _two_prod(x, x)
-    q = (0.25 * q[0], 0.25 * q[1])  # x^2/4, exact power-of-two scaling
-    term = (1.0, 0.0)  # q^m / (m!)^2, carried signless
-    j0 = (1.0, 0.0)
-    ysum = (0.0, 0.0)
-    sign = 1.0
-    for m in range(1, _SERIES_TERMS):
-        term = _dd_div(_dd_mul(term, q), float(m * m))
-        sign = -sign
-        j0 = _dd_add(j0, (sign * term[0], sign * term[1]))
-        if want_y0:
-            u = _dd_mul(term, _HARMONIC[m])
-            ysum = _dd_add(ysum, (-sign * u[0], -sign * u[1]))
-    j0_val = j0[0] + j0[1]
-    if not want_y0:
-        return j0_val, None
-    y0_val = (2.0 / math.pi) * (
-        (np.log(0.5 * x) + EULER_GAMMA) * j0_val + (ysum[0] + ysum[1])
-    )
-    return j0_val, y0_val
-
-
-def _asymptotic_j0_y0(x):
-    """Hankel asymptotic expansion, valid (to <1e-12 absolute) for x >= 12."""
-    inv = 1.0 / x
-    p = 0.0
-    q = 0.0
-    r = 1.0  # x^(-j)
-    for j, a in enumerate(_ASYMPTOTIC_A):
-        t = a * r
-        half, odd = divmod(j, 2)
-        if odd:
-            q = q - t if half % 2 == 0 else q + t
-        else:
-            p = p + t if half % 2 == 0 else p - t
-        r = r * inv
-    pref = np.sqrt(2.0 / (math.pi * x))
-    chi = x - 0.25 * math.pi
-    c = np.cos(chi)
-    s = np.sin(chi)
-    return pref * (p * c - q * s), pref * (p * s + q * c)
-
-
-# ---------------------------------------------------------------------------
-# Scalar API
 
 def _as_checked_float(x, allow_zero):
     try:
@@ -163,15 +37,8 @@ def _as_checked_float(x, allow_zero):
 
 
 def bessel_j0(x: float) -> float:
-    """Bessel function of the first kind, order zero, for x >= 0.
-
-    Absolute error stays below 1e-12 up to x = 1e4 (series to x = 12 with
-    compensated accumulation, asymptotic expansion beyond).
-    """
-    x = _as_checked_float(x, allow_zero=True)
-    if x <= _SPLIT_X:
-        return float(_series_j0_y0(x, want_y0=False)[0])
-    return float(_asymptotic_j0_y0(x)[0])
+    """Bessel function of the first kind, order zero, for x >= 0."""
+    return float(special.j0(_as_checked_float(x, allow_zero=True)))
 
 
 def bessel_y0(x: float) -> float:
@@ -180,10 +47,7 @@ def bessel_y0(x: float) -> float:
     Reproduces the logarithmic small-argument behavior
     (2/pi)(ln(x/2) + gamma) J0(x) + analytic series.
     """
-    x = _as_checked_float(x, allow_zero=False)
-    if x <= _SPLIT_X:
-        return float(_series_j0_y0(x, want_y0=True)[1])
-    return float(_asymptotic_j0_y0(x)[1])
+    return float(special.y0(_as_checked_float(x, allow_zero=False)))
 
 
 def hankel1_0(x: float) -> complex:
@@ -195,11 +59,7 @@ def hankel1_0(x: float) -> complex:
     ``kernel.regularized_h0_at_zero``.
     """
     x = _as_checked_float(x, allow_zero=False)
-    if x <= _SPLIT_X:
-        j0, y0 = _series_j0_y0(x, want_y0=True)
-    else:
-        j0, y0 = _asymptotic_j0_y0(x)
-    return complex(j0, y0)
+    return complex(special.j0(x), special.y0(x))
 
 
 def hankel1_0_small_x_expansion(x: float) -> complex:
@@ -214,9 +74,6 @@ def hankel1_0_small_x_expansion(x: float) -> complex:
     return complex(1.0, (2.0 / math.pi) * (math.log(0.5 * x) + EULER_GAMMA))
 
 
-# ---------------------------------------------------------------------------
-# Array API (one validation pass, then the same two branches elementwise)
-
 def _as_checked_array(x, allow_zero):
     arr = np.asarray(x, dtype=float)
     if not np.all(np.isfinite(arr)):
@@ -227,35 +84,17 @@ def _as_checked_array(x, allow_zero):
     return arr
 
 
-def _split_apply(arr, want_y0):
-    j0 = np.empty_like(arr)
-    y0 = np.empty_like(arr) if want_y0 else None
-    small = arr <= _SPLIT_X
-    if small.any():
-        js, ys = _series_j0_y0(arr[small], want_y0)
-        j0[small] = js
-        if want_y0:
-            y0[small] = ys
-    large = ~small
-    if large.any():
-        jl, yl = _asymptotic_j0_y0(arr[large])
-        j0[large] = jl
-        if want_y0:
-            y0[large] = yl
-    return j0, y0
-
-
 def bessel_j0_array(x) -> np.ndarray:
     """Elementwise ``bessel_j0`` for grid fills."""
-    return _split_apply(_as_checked_array(x, allow_zero=True), False)[0]
+    return special.j0(_as_checked_array(x, allow_zero=True))
 
 
 def bessel_y0_array(x) -> np.ndarray:
     """Elementwise ``bessel_y0`` for grid fills."""
-    return _split_apply(_as_checked_array(x, allow_zero=False), True)[1]
+    return special.y0(_as_checked_array(x, allow_zero=False))
 
 
 def hankel1_0_array(x) -> np.ndarray:
     """Elementwise ``hankel1_0`` for grid fills."""
-    j0, y0 = _split_apply(_as_checked_array(x, allow_zero=False), True)
-    return j0 + 1j * y0
+    arr = _as_checked_array(x, allow_zero=False)
+    return special.j0(arr) + 1j * special.y0(arr)

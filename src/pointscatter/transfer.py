@@ -33,17 +33,15 @@ from .amplitudes import (
     scale,
 )
 from .errors import ForwardAngleError, PoleError, PointScatterError, ValidationError
-from .kernel import CutoffSpec, Dispersion, green_cutoff_zero
+from .kernel import FOUR_PI, CutoffSpec, Dispersion, green_cutoff_zero
 
 SQRT_2PI = math.sqrt(2.0 * math.pi)
 SQRT_8PI = math.sqrt(8.0 * math.pi)
-FOUR_PI = 4.0 * math.pi
 
 FINITE = "finite"
 BARE = "bare"
 RENORMALIZED = "renormalized"
 
-SIGMA_1 = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SIGMA_2 = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 SIGMA_3 = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 
@@ -91,18 +89,9 @@ class Coupling:
         return cls(RENORMALIZED, z, mu=float(mu))
 
 
-class KMatrix:
-    """The fixed nilpotent matrix K = sigma_3 + i sigma_2 = [[1, 1], [-1, -1]]."""
-
-    @property
-    def entries(self) -> np.ndarray:
-        return np.array([[1.0, 1.0], [-1.0, -1.0]], dtype=complex)
-
-    def squared(self) -> np.ndarray:
-        return self.entries @ self.entries
-
-
-K_MATRIX = KMatrix()
+K_MATRIX = np.array([[1.0, 1.0], [-1.0, -1.0]], dtype=complex)
+"""The fixed nilpotent matrix K = sigma_3 + i sigma_2 = [[1, 1], [-1, -1]]."""
+K_MATRIX.flags.writeable = False
 
 
 def _amplitude_pole_denominator(z: complex) -> complex:

@@ -135,6 +135,11 @@ class TestIntegrateInverseVarpi:
         a = amp.GeneralizedAmplitude(((1.0, 0j),), 1.0, amp.BAND)
         assert amp.integrate_inverse_varpi(a, amp.BAND_DOMAIN, D1) == complex(math.pi)
 
+    def test_full_line_domain_rejected(self):
+        # the full-line integral diverges; it exists only as a cutoff line
+        with pytest.raises(ValidationError):
+            amp.IntegrationDomain(amp.FULL_LINE)
+
     def test_cutoff_must_exceed_k(self):
         a = amp.GeneralizedAmplitude((), 1.0, amp.FULL_LINE)
         with pytest.raises(ValidationError):
@@ -190,3 +195,5 @@ class TestIncidentWave:
     def test_bad_wavenumber(self):
         with pytest.raises(ValidationError):
             amp.IncidentWave(0.0, math.pi)
+        with pytest.raises(ValidationError):
+            amp.IncidentWave(True, math.pi)

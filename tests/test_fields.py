@@ -33,6 +33,13 @@ class TestGridSpec:
             GridSpec(1.0, -1.0, 5, 0.0, 1.0, 5)
         with pytest.raises(ValidationError):
             GridSpec(-1.0, 1.0, 1, 0.0, 1.0, 5)
+        for bounds in ((-math.inf, 1.0, 0.0, 1.0), (0.0, 1.0, 0.0, math.nan)):
+            x0, x1, y0, y1 = bounds
+            with pytest.raises(ValidationError, match="finite"):
+                GridSpec(x0, x1, 5, y0, y1, 5)
+        for nx, ny in ((5.5, 5), (5, 5.0), (True, 5)):
+            with pytest.raises(ValidationError, match="integers"):
+                GridSpec(0.0, 1.0, nx, 0.0, 1.0, ny)
 
 
 class TestTotalField:

@@ -16,7 +16,7 @@ GREEN_AT_1 = complex(0.08825696421567696 / 4.0, -0.7651976865579666 / 4.0)
 
 
 class TestDispersionAndCutoffTypes:
-    @pytest.mark.parametrize("bad", [0.0, -1.0, math.inf, math.nan])
+    @pytest.mark.parametrize("bad", [0.0, -1.0, math.inf, math.nan, True])
     def test_dispersion_validation(self, bad):
         with pytest.raises(ValidationError):
             Dispersion(bad)
@@ -24,6 +24,8 @@ class TestDispersionAndCutoffTypes:
     def test_cutoff_validation(self):
         with pytest.raises(ValidationError):
             CutoffSpec(-1.0)
+        with pytest.raises(ValidationError):
+            CutoffSpec(True)
         with pytest.raises(ValidationError):
             CutoffSpec(2.0, "no-such-policy")
         with pytest.raises(ValidationError):

@@ -19,7 +19,8 @@ H0_AT_20 = complex(0.16702466434058316, 0.06264059680938383)
 H0_AT_100 = complex(0.019985850304223122, -0.07724431336508315)
 
 ORACLE_GRID = [1e-6, 1e-4, 0.01, 0.1, 0.5, 1.0, 2.0, 2.404825557695773,
-               3.7, 5.0, 8.0, 10.0, 11.9, 12.0, 12.1, 13.0, 20.0, 50.0, 100.0]
+               3.7, 5.0, 8.0, 10.0, 11.9, 12.0, 12.1, 13.0, 20.0, 50.0, 100.0,
+               200.0, 500.0, 1000.0]
 
 
 class TestBesselJ0:
@@ -37,7 +38,7 @@ class TestBesselJ0:
 
     def test_matches_series_oracle_on_grid(self):
         for x in ORACLE_GRID:
-            assert abs(specfun.bessel_j0(x) - float(oracle_j0(x))) <= 1e-12, x
+            assert abs(specfun.bessel_j0(x) - float(oracle_j0(x))) <= 1e-14, x
 
     def test_sign_alternates_across_first_three_zeros(self):
         brackets = [0.5 * (a + b) for a, b in zip((0.0,) + J0_ZEROS, J0_ZEROS + (11.0,))]
@@ -59,7 +60,7 @@ class TestBesselY0:
 
     def test_matches_series_oracle_on_grid(self):
         for x in ORACLE_GRID:
-            assert abs(specfun.bessel_y0(x) - float(oracle_y0(x))) <= 1e-12, x
+            assert abs(specfun.bessel_y0(x) - float(oracle_y0(x))) <= 1e-14, x
 
     def test_logarithmic_behavior_near_zero(self):
         # Y0(x) - (2/pi)(ln(x/2) + gamma) vanishes at rate O(x^2)
@@ -111,7 +112,7 @@ class TestHankel:
                                   2.0 * math.pi)) < 1.3e-3
 
     def test_branch_consistency_at_twenty(self):
-        # series and asymptotic expansions both converge here
+        # frozen decimal-oracle value between the small- and large-x regimes
         assert abs(specfun.hankel1_0(20.0) - H0_AT_20) < 1e-13
 
     def test_zero_argument_is_hard_error(self):

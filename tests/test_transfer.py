@@ -43,14 +43,13 @@ class TestCoupling:
 
 class TestKMatrix:
     def test_entries(self):
-        assert np.array_equal(K_MATRIX.entries,
-                              np.array([[1, 1], [-1, -1]], dtype=complex))
+        assert np.array_equal(K_MATRIX, np.array([[1, 1], [-1, -1]], dtype=complex))
 
     def test_nilpotent_exactly(self):
-        assert np.all(K_MATRIX.squared() == 0)
+        assert np.all(K_MATRIX @ K_MATRIX == 0)
 
     def test_pauli_decomposition(self):
-        assert np.array_equal(K_MATRIX.entries, SIGMA_3 + 1j * SIGMA_2)
+        assert np.array_equal(K_MATRIX, SIGMA_3 + 1j * SIGMA_2)
 
 
 class TestEntries:
