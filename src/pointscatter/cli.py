@@ -11,8 +11,6 @@ single-line machine-parseable diagnostic; numerical-invariant failures from
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import math
 import sys
@@ -31,14 +29,18 @@ ERROR_PREFIX = "pointscatter: error:"
 FAR_FIELD_KR = (20.0, 50.0, 100.0)
 FAR_FIELD_NTHETA = 120
 
+MAX_GRID_NODES = 250_000
+"""Largest ``field --grid`` node count nx*ny.  The rendered table is held in
+memory, about 0.7 KB per node as CSV and 2.5 KB as JSON, so a run at the cap
+peaks near 0.26 GB (CSV) or 0.7 GB (JSON); the default grid has 40 401 nodes."""
 
-def _sig15(value: float) -> str:
-    return f"{value:.15g}"
+MAX_THETA_GRID = 10_000
+"""Largest ``amplitude --theta-grid``: one solve per angle, ~0.7 s at the cap."""
 
 
 def _json_float(value: float) -> float:
     # round-trip through the 15-significant-digit form so JSON and CSV agree
-    return float(_sig15(value)) if math.isfinite(value) else value
+    return float(f"{value:.15g}") if math.isfinite(value) else value
 
 
 class _Parser(argparse.ArgumentParser):
@@ -71,10 +73,21 @@ def _parse_grid(text: str) -> fields.GridSpec:
     if len(parts) != 6:
         raise ValidationError(f"expected X0,X1,NX,Y0,Y1,NY, got {text!r}")
     try:
-        return fields.GridSpec(float(parts[0]), float(parts[1]), int(parts[2]),
+        spec = fields.GridSpec(float(parts[0]), float(parts[1]), int(parts[2]),
                                float(parts[3]), float(parts[4]), int(parts[5]))
     except ValueError as exc:
         raise ValidationError(f"bad grid spec {text!r}") from exc
+    if spec.nx * spec.ny > MAX_GRID_NODES:
+        raise argparse.ArgumentTypeError(
+            f"{spec.nx}x{spec.ny} grid exceeds {MAX_GRID_NODES} nodes")
+    return spec
+
+
+def _parse_theta_grid(text: str) -> int:
+    n = int(text)
+    if not 1 <= n <= MAX_THETA_GRID:
+        raise argparse.ArgumentTypeError(f"N must be in [1, {MAX_THETA_GRID}], got {n}")
+    return n
 
 
 def build_parser() -> _Parser:
@@ -95,7 +108,7 @@ def build_parser() -> _Parser:
 
     p_amp = sub.add_parser("amplitude", help="scattering amplitude, both routes")
     add_common(p_amp)
-    p_amp.add_argument("--theta-grid", type=int, default=8, metavar="N",
+    p_amp.add_argument("--theta-grid", type=_parse_theta_grid, default=8, metavar="N",
                        help="number of scattering angles")
 
     p_flow = sub.add_parser("flow", help="renormalization flow across cutoffs")
@@ -138,13 +151,10 @@ def build_parser() -> _Parser:
 # Rendering helpers
 
 def _csv_bytes(header, rows) -> bytes:
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(header)
-    for row in rows:
-        writer.writerow([cell if isinstance(cell, str) else _sig15(cell)
-                         for cell in row])
-    return buf.getvalue().encode("utf-8")
+    table = np.asarray(rows, dtype=float)
+    line = ",".join(["%.15g"] * len(header)) + "\r\n"
+    body = (line * len(table)) % tuple(table.ravel().tolist())
+    return (",".join(header) + "\r\n" + body).encode("utf-8")
 
 
 def _json_bytes(obj) -> bytes:
@@ -152,8 +162,15 @@ def _json_bytes(obj) -> bytes:
 
 
 def _json_rows(header, rows):
-    return [{name: (_json_float(cell) if not isinstance(cell, str) else cell)
-             for name, cell in zip(header, row)} for row in rows]
+    return [dict(zip(header, map(_json_float, row)))
+            for row in np.asarray(rows, dtype=float).tolist()]
+
+
+def _table(args, header, rows, report):
+    """The table as CSV, or the JSON ``report`` with the table appended as "rows"."""
+    if args.format == "csv":
+        return [(None, _csv_bytes(header, rows))]
+    return [(None, _json_bytes({**report, "rows": _json_rows(header, rows)}))]
 
 
 def _incident(args) -> IncidentWave:
@@ -161,8 +178,6 @@ def _incident(args) -> IncidentWave:
 
 
 def _theta_values(w: IncidentWave, n: int) -> list[float]:
-    if n < 1:
-        raise ValidationError("--theta-grid must be at least 1")
     thetas = [-0.5 * math.pi + (j + 0.5) * 2.0 * math.pi / n for j in range(n)]
     for theta in thetas:
         if theta in (0.5 * math.pi, -0.5 * math.pi, 1.5 * math.pi) or theta == w.theta0:
@@ -199,17 +214,13 @@ def cmd_amplitude(args):
         agree = agree and (f1 == f2)
         rows.append([theta, f1.real, f1.imag, abs(f1) ** 2,
                      f2.real, f2.imag, abs(f2) ** 2, abs(f1 - f2)])
-    if args.format == "csv":
-        return [(None, _csv_bytes(header, rows))]
-    obj = {
+    return _table(args, header, rows, {
         "command": "amplitude",
         "parameters": {"k": _json_float(w.k), "theta0": _json_float(w.theta0),
                        "z": [_json_float(args.z.real), _json_float(args.z.imag)]},
         "forward_direction": "excluded: carries -2*pi*delta(theta - theta0), symbolic only",
         "routes_agree": agree,
-        "rows": _json_rows(header, rows),
-    }
-    return [(None, _json_bytes(obj))]
+    })
 
 
 def cmd_flow(args):
@@ -239,18 +250,14 @@ def cmd_flow(args):
                      f_bare.real, f_bare.imag, f_ren.real, f_ren.imag,
                      abs(f_bare - f_ren), b_sum.real, b_sum.imag,
                      b_tilde.real, b_tilde.imag])
-    if args.format == "csv":
-        return [(None, _csv_bytes(header, rows))]
-    obj = {
+    return _table(args, header, rows, {
         "command": "flow",
         "parameters": {"k": _json_float(w.k), "theta0": _json_float(w.theta0),
                        "z_tilde": [_json_float(z_tilde.real), _json_float(z_tilde.imag)],
                        "mu": _json_float(mu)},
         "b_tilde_limit": [_json_float(singfree.renormalized_b_limit(z_finite).real),
                           _json_float(singfree.renormalized_b_limit(z_finite).imag)],
-        "rows": _json_rows(header, rows),
-    }
-    return [(None, _json_bytes(obj))]
+    })
 
 
 def cmd_family(args):
@@ -278,29 +285,23 @@ def cmd_family(args):
                      f_fam.real, f_fam.imag, b_sum.real, b_sum.imag,
                      f_abs.real, f_abs.imag, abs(f_abs - f_dfss),
                      b_tilde.real, b_tilde.imag])
-    if args.format == "csv":
-        return [(None, _csv_bytes(header, rows))]
-    obj = {
+    return _table(args, header, rows, {
         "command": "family",
         "parameters": {"k": _json_float(w.k), "theta0": _json_float(w.theta0),
                        "z": [_json_float(args.z.real), _json_float(args.z.imag)],
                        "b_plus": [_json_float(args.b_plus.real), _json_float(args.b_plus.imag)],
                        "b_minus": [_json_float(args.b_minus.real), _json_float(args.b_minus.imag)]},
-        "rows": _json_rows(header, rows),
-    }
-    return [(None, _json_bytes(obj))]
+    })
 
 
 def _field_rows(grid: fields.FieldGrid, current: fields.CurrentGrid):
     header = ["x", "y", "re_psi", "im_psi", "abs2_psi", "jx", "jy", "mask"]
-    rows = []
-    for i, xv in enumerate(grid.x):
-        for j, yv in enumerate(grid.y):
-            psi = grid.values[i, j]
-            rows.append([float(xv), float(yv), psi.real, psi.imag,
-                         abs(psi) ** 2, float(current.jx[i, j]),
-                         float(current.jy[i, j]), float(grid.excluded_mask[i, j])])
-    return header, rows
+    v = grid.values
+    # hypot and float_power match scalar abs(psi) ** 2 bit for bit; np.abs and ** 2 do not
+    abs2 = np.float_power(np.hypot(v.real, v.imag), 2)
+    X, Y = np.meshgrid(grid.x, grid.y, indexing="ij")
+    columns = (X, Y, v.real, v.imag, abs2, current.jx, current.jy, grid.excluded_mask)
+    return header, np.column_stack([np.ravel(c) for c in columns])
 
 
 def cmd_field(args):
@@ -319,26 +320,14 @@ def cmd_field(args):
 
     far = None
     if args.far_field:
-        z = Coupling.finite(args.z)
-        sol = transfer.solve_fundamental(w, z)
-        f = transfer._closed_form_amplitude(z.value)
         far_header = ["kr", "theta", "re_psi", "im_psi", "re_psi_asymptotic",
                       "im_psi_asymptotic", "abs_residual", "relative_residual"]
-        far_rows = []
-        thetas = [-math.pi + (j + 0.5) * 2.0 * math.pi / FAR_FIELD_NTHETA
-                  for j in range(FAR_FIELD_NTHETA)]
-        for kr in FAR_FIELD_KR:
-            r = kr / w.k
-            scale = abs(f) / (2.0 * math.pi * math.sqrt(kr))
-            for theta in thetas:
-                xv, yv = r * math.cos(theta), r * math.sin(theta)
-                psi = complex(fields.field_values_at(w, sol.c_prime, [xv], [yv])[0])
-                scattered = np.sqrt(1j / kr) * np.exp(1j * kr) * f / (2.0 * math.pi)
-                incident = np.exp(1j * (-w.varpi0 * xv + w.p0 * yv)) / (2.0 * math.pi)
-                asym = complex(incident + scattered)
-                far_rows.append([kr, theta, psi.real, psi.imag, asym.real,
-                                 asym.imag, abs(psi - asym), abs(psi - asym) / scale])
-        far = (far_header, far_rows)
+        samples = fields.far_field_samples(w, Coupling.finite(args.z),
+                                           FAR_FIELD_KR, FAR_FIELD_NTHETA)
+        far = (far_header, np.concatenate([np.column_stack((
+            np.full(FAR_FIELD_NTHETA, s.kr), s.theta, s.psi.real, s.psi.imag,
+            s.psi_asymptotic.real, s.psi_asymptotic.imag, s.residual,
+            s.residual / s.scale)) for s in samples]))
 
     if args.format == "csv":
         outputs = [(None, _csv_bytes(header, rows))]
@@ -369,7 +358,7 @@ def _run_verify(args) -> int:
     results = verify.run_all(inject_fault=args.inject_fault)
     all_passed = all(r.passed for r in results)
     if args.as_json:
-        obj = {
+        payload = _json_bytes({
             "command": "verify",
             "seed": verify.resolve_seed(),
             "injected_fault": bool(args.inject_fault),
@@ -377,24 +366,24 @@ def _run_verify(args) -> int:
             "checks": [{"name": r.name, "tolerance": _json_float(r.tolerance),
                         "measured": _json_float(r.measured), "passed": r.passed}
                        for r in results],
-        }
-        payload = _json_bytes(obj).decode("utf-8")
-        if args.out:
-            with open(args.out, "w", encoding="utf-8", newline="") as fh:
-                fh.write(payload)
-        else:
-            sys.stdout.write(payload)
+        })
     else:
         lines = [r.line() for r in results]
         lines.append("verify: " + ("all checks passed" if all_passed
                                    else "NUMERICAL INVARIANT FAILURE"))
-        payload = "\n".join(lines) + "\n"
-        if args.out:
-            with open(args.out, "w", encoding="utf-8", newline="") as fh:
-                fh.write(payload)
-        else:
-            sys.stdout.write(payload)
+        payload = ("\n".join(lines) + "\n").encode("utf-8")
+    _write(args, [(None, payload)])
     return 0 if all_passed else 2
+
+
+def _write(args, outputs) -> None:
+    """Write each (suffix, payload) to --out plus suffix, or all to stdout."""
+    for suffix, payload in outputs:
+        if args.out is None:
+            sys.stdout.write(payload.decode("utf-8"))
+        else:
+            with open(args.out + (suffix or ""), "wb") as fh:
+                fh.write(payload)
 
 
 _DISPATCH = {
@@ -410,16 +399,9 @@ def main(argv=None) -> int:
         args = build_parser().parse_args(argv)
         if args.command == "verify":
             return _run_verify(args)
-        outputs = _DISPATCH[args.command](args)
-        for suffix, payload in outputs:
-            if args.out is None:
-                sys.stdout.write(payload.decode("utf-8"))
-            else:
-                path = args.out if suffix is None else args.out + suffix
-                with open(path, "wb") as fh:
-                    fh.write(payload)
+        _write(args, _DISPATCH[args.command](args))
         return 0
-    except PointScatterError as exc:
+    except (PointScatterError, OSError) as exc:
         message = str(exc).replace("\n", " ")
         print(f"{ERROR_PREFIX} {type(exc).__name__}: {message}", file=sys.stderr)
         return 1

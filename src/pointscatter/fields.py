@@ -228,19 +228,24 @@ def near_field_log_slope(w: IncidentWave, z: Coupling, r_points) -> complex:
     return complex(coeffs[0])
 
 
-class FarFieldResidual(NamedTuple):
+class FarFieldSamples(NamedTuple):
+    """One circle of fixed k r; ``residual`` is |psi - psi_asymptotic| per angle
+    and ``scale`` the scattered-wave amplitude |f| / (2 pi sqrt(kr))."""
+
     kr: float
-    max_absolute: float
-    relative: float
+    theta: np.ndarray
+    psi: np.ndarray
+    psi_asymptotic: np.ndarray
+    residual: np.ndarray
+    scale: float
 
 
-def far_field_circle_residuals(w: IncidentWave, z: Coupling, kr_values,
-                               n_theta: int = 240):
-    """Residual of the far-field asymptotic form on circles of fixed k r.
+def far_field_samples(w: IncidentWave, z: Coupling, kr_values,
+                      n_theta: int = 240) -> list[FarFieldSamples]:
+    """Total field and its far-field asymptotic form on circles of fixed k r.
 
-    psi_asym = [e^{i k.r} + sqrt(i/(k r)) e^{i k r} f] / (2 pi); the relative
-    column normalizes by the scattered-wave amplitude |f| / (2 pi sqrt(kr)),
-    so it decays like the leading 1/(k r) correction of the expansion.
+    psi_asym = [e^{i k.r} + sqrt(i/(k r)) e^{i k r} f] / (2 pi), at n_theta
+    angles centred in equal bins of [-pi, pi).
     """
     sol = solve_fundamental(w, z)
     f = _closed_form_amplitude(z.value)
@@ -249,15 +254,28 @@ def far_field_circle_residuals(w: IncidentWave, z: Coupling, kr_values,
     for kr in kr_values:
         kr = float(kr)
         r = kr / w.k
-        xs = r * np.cos(thetas)
-        ys = r * np.sin(thetas)
+        xs, ys = r * np.cos(thetas), r * np.sin(thetas)
         psi = field_values_at(w, sol.c_prime, xs, ys)
-        scattered = np.sqrt(1j / kr) * np.exp(1j * kr) * f
-        asym = _incident_values(w, xs, ys) + scattered / TWO_PI
-        max_abs = float(np.abs(psi - asym).max())
-        scale = abs(f) / (TWO_PI * math.sqrt(kr))
-        out.append(FarFieldResidual(kr, max_abs, max_abs / scale))
+        asym = _incident_values(w, xs, ys) + np.sqrt(1j / kr) * np.exp(1j * kr) * f / TWO_PI
+        diff = psi - asym  # hypot, not np.abs: that one may differ in the last bit
+        out.append(FarFieldSamples(kr, thetas, psi, asym, np.hypot(diff.real, diff.imag),
+                                   abs(f) / (TWO_PI * math.sqrt(kr))))
     return out
+
+
+class FarFieldResidual(NamedTuple):
+    kr: float
+    max_absolute: float
+    relative: float
+
+
+def far_field_circle_residuals(w: IncidentWave, z: Coupling, kr_values,
+                               n_theta: int = 240):
+    """Largest far-field residual per circle, absolute and relative to the
+    scattered-wave amplitude; the relative one decays like 1/(k r)."""
+    return [FarFieldResidual(s.kr, float(s.residual.max()),
+                             float(s.residual.max()) / s.scale)
+            for s in far_field_samples(w, z, kr_values, n_theta)]
 
 
 def cross_section(w: IncidentWave, z: Coupling, theta_grid):

@@ -120,6 +120,8 @@ def green_cutoff_zero(c: CutoffSpec, d: Dispersion) -> complex:
     """
     _require_cutoff_above_k(c, d)
     ratio = c.lam / d.k
+    if not math.isfinite(ratio * ratio):
+        raise ValidationError(f"(lam/k)^2 overflows for lam/k = {ratio!r}")
     return complex(-math.log(ratio * ratio - 1.0) / (4.0 * math.pi), -0.25)
 
 

@@ -68,6 +68,9 @@ class Coupling:
             raise ValidationError("coupling must be nonzero (its inverse must exist)")
         if not (math.isfinite(value.real) and math.isfinite(value.imag)):
             raise ValidationError(f"coupling must be finite, got {value!r}")
+        inverse = 1.0 / value
+        if not (math.isfinite(inverse.real) and math.isfinite(inverse.imag)):
+            raise ValidationError(f"coupling {value!r} has no finite inverse")
         object.__setattr__(self, "value", value)
         if self.kind == BARE:
             if self.lam is None or not (math.isfinite(self.lam) and self.lam > 0):

@@ -1,9 +1,17 @@
+import contextlib
 import csv
+import io
 import json
+import math
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from pointscatter import cli
+from pointscatter import cli, fields, transfer
+from pointscatter.amplitudes import IncidentWave
+from pointscatter.transfer import Coupling
 
 THETA0 = "3.141592653589793"
 
@@ -56,6 +64,17 @@ class TestAmplitudeCommand:
         code, _, err = run(["amplitude", "--z", "1"], capsys)
         assert code == 1
         assert err.startswith(cli.ERROR_PREFIX)
+
+    @pytest.mark.parametrize("n", [0, cli.MAX_THETA_GRID + 1, 10 ** 12])
+    def test_theta_grid_outside_bounds(self, n, capsys):
+        code, out, err = run(["amplitude", f"--theta-grid={n}"], capsys)
+        assert (code, out, err.count("\n")) == (1, "", 1)
+        assert err.startswith(cli.ERROR_PREFIX) and "--theta-grid" in err
+
+    def test_unwritable_out_path(self, tmp_path, capsys):
+        code, _, err = run(["amplitude", "--out", str(tmp_path)], capsys)
+        assert code == 1
+        assert err.startswith(cli.ERROR_PREFIX) and err.count("\n") == 1
 
 
 class TestFlowCommand:
@@ -150,6 +169,12 @@ class TestFieldCommand:
                             "--grid=" + self.GRID], capsys)
         assert code == 1
 
+    @pytest.mark.parametrize("grid", ["0,1,501,0,1,500", "0,1,100000,0,1,100000"])
+    def test_grid_over_node_cap(self, grid, capsys):
+        code, out, err = run(["field", "--grid=" + grid], capsys)
+        assert (code, out, err.count("\n")) == (1, "", 1)
+        assert err.startswith(cli.ERROR_PREFIX) and "--grid" in err
+
 
 class TestDeterminism:
     @pytest.mark.parametrize("argv", [
@@ -201,3 +226,129 @@ class TestVerifyCommand:
         assert code == 2
         assert "[FAIL] 2a-closed-form-solve" in out
         assert "NUMERICAL INVARIANT FAILURE" in out
+
+
+def _reference_field_payloads(k, theta0, z, grid_axes, fmt):
+    """``field --far-field`` rendered cell by cell: csv.writer over
+    f"{v:.15g}", scalar abs(psi) ** 2 and one field_values_at call per
+    far-field point.  Independent of the CLI's vectorized rendering."""
+    w = IncidentWave(k, theta0)
+    coupling = Coupling.finite(z)
+    grid = fields.total_field(w, coupling, fields.GridSpec(*grid_axes))
+    current = fields.current_density(grid, k=k)
+    header = ["x", "y", "re_psi", "im_psi", "abs2_psi", "jx", "jy", "mask"]
+    rows = []
+    for i, xv in enumerate(grid.x):
+        for j, yv in enumerate(grid.y):
+            psi = grid.values[i, j]
+            rows.append([float(xv), float(yv), psi.real, psi.imag, abs(psi) ** 2,
+                         float(current.jx[i, j]), float(current.jy[i, j]),
+                         float(grid.excluded_mask[i, j])])
+    c_prime = transfer.solve_fundamental(w, coupling).c_prime
+    f = transfer._closed_form_amplitude(coupling.value)
+    far_header = ["kr", "theta", "re_psi", "im_psi", "re_psi_asymptotic",
+                  "im_psi_asymptotic", "abs_residual", "relative_residual"]
+    far_rows = []
+    for kr in cli.FAR_FIELD_KR:
+        r = kr / w.k
+        scale = abs(f) / (2.0 * math.pi * math.sqrt(kr))
+        for j in range(cli.FAR_FIELD_NTHETA):
+            theta = -math.pi + (j + 0.5) * 2.0 * math.pi / cli.FAR_FIELD_NTHETA
+            xv, yv = r * math.cos(theta), r * math.sin(theta)
+            psi = complex(fields.field_values_at(w, c_prime, [xv], [yv])[0])
+            scattered = np.sqrt(1j / kr) * np.exp(1j * kr) * f / (2.0 * math.pi)
+            incident = np.exp(1j * (-w.varpi0 * xv + w.p0 * yv)) / (2.0 * math.pi)
+            asym = complex(incident + scattered)
+            far_rows.append([kr, theta, psi.real, psi.imag, asym.real, asym.imag,
+                             abs(psi - asym), abs(psi - asym) / scale])
+
+    def csv_bytes(head, table):
+        buf = io.StringIO()
+        writer = csv.writer(buf)
+        writer.writerow(head)
+        for row in table:
+            writer.writerow([f"{v:.15g}" for v in row])
+        return buf.getvalue().encode("utf-8")
+
+    def json_value(v):
+        return float(f"{v:.15g}") if math.isfinite(v) else v
+
+    def json_rows(head, table):
+        return [{name: json_value(v) for name, v in zip(head, row)} for row in table]
+
+    if fmt == "csv":
+        return [csv_bytes(header, rows), csv_bytes(far_header, far_rows)]
+    obj = {"command": "field",
+           "parameters": {"k": json_value(k), "theta0": json_value(theta0),
+                          "psi0_only": False},
+           "rows": json_rows(header, rows),
+           "far_field": json_rows(far_header, far_rows)}
+    return [(json.dumps(obj, indent=2) + "\n").encode("utf-8")]
+
+
+class TestFieldBytesAgainstCellReference:
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("k, theta0, z, grid", [
+        (1.0, math.pi, 1 + 0j, (-0.5, 0.5, 51, -0.5, 0.5, 51)),
+        (0.8, 2.5, 0.7 - 1.3j, (11.5, 12.5, 51, -4.25, -3.25, 51)),
+    ])
+    def test_field_and_far_field_bytes(self, k, theta0, z, grid, fmt, tmp_path, capsys):
+        out_path = tmp_path / f"field.{fmt}"
+        code, _, _ = run(["field", f"--k={k!r}", f"--theta0={theta0!r}",
+                          f"--z={z.real!r},{z.imag!r}", "--grid=" + ",".join(map(str, grid)),
+                          f"--format={fmt}", "--far-field", f"--out={out_path}"], capsys)
+        assert code == 0
+        written = [out_path.read_bytes()]
+        if fmt == "csv":
+            written.append((tmp_path / f"field.{fmt}.farfield.csv").read_bytes())
+        assert written == _reference_field_payloads(k, theta0, z, grid, fmt)
+
+
+_EXTREMES = st.one_of(
+    st.sampled_from([0.0, 1e-320, -1e-320, -1e300, math.nan, math.inf, -math.inf]),
+    st.sampled_from([1e-300, 1e-150, 0.5, 1.0, 2.0, 3.0, 4.0, 1e150, 1e300]))
+
+
+def _flag(name, values):
+    """An optional --name=value flag; omitted flags keep their defaults."""
+    return st.one_of(st.just([]), values.map(lambda v: [f"--{name}={v}"]))
+
+
+def _pair(name):
+    return _flag(name, st.builds(lambda a, b: f"{a!r},{b!r}", _EXTREMES, _EXTREMES))
+
+
+def _argv(command):
+    lams = st.lists(_EXTREMES, min_size=1, max_size=3).map(lambda vs: ",".join(map(repr, vs)))
+    axis = st.tuples(_EXTREMES, _EXTREMES, st.integers(0, 41)).map(
+        lambda a: "{!r},{!r},{}".format(*sorted(a[:2]), a[2]))
+    grid = st.tuples(axis, axis).map(lambda axes: [f"--grid={axes[0]},{axes[1]}"])
+    theta0 = st.one_of(_EXTREMES, st.sampled_from([2.0, 3.0, 4.0]))
+    flags = [_flag("k", _EXTREMES.map(repr)), _flag("theta0", theta0.map(repr)),
+             _pair("z"), _flag("format", st.sampled_from(["csv", "json"]))]
+    flags += {
+        "amplitude": [_flag("theta-grid", st.integers(-1, 12))],
+        "flow": [_flag("lambda", lams), _flag("mu", _EXTREMES.map(repr))],
+        "family": [_flag("lambda", lams), _pair("b-plus"), _pair("b-minus")],
+        "field": [grid],
+    }[command]
+    return st.tuples(*flags).map(lambda parts: [command, *sum(parts, [])])
+
+
+@pytest.mark.filterwarnings("ignore::pointscatter.errors.GridCoarseWarning")
+@settings(max_examples=300)
+@given(argv=st.one_of(*map(_argv, ["amplitude", "flow", "family", "field"])))
+@example(argv=["flow", "--lambda=1e300"])
+@example(argv=["flow", "--k=1e-300"])
+@example(argv=["amplitude", "--z=1e-320,1e-320", "--theta-grid=4"])
+def test_extreme_argv_exits_cleanly(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)  # any exception escaping main is a traceback
+    assert code in (0, 1)
+    if code == 1:
+        assert out.getvalue() == ""
+        assert err.getvalue().count("\n") == 1
+        assert err.getvalue().startswith(cli.ERROR_PREFIX)
+    elif argv[0] != "field":
+        assert not any(word in out.getvalue().lower() for word in ("nan", "inf"))

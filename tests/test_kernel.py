@@ -103,6 +103,12 @@ class TestGreenCutoffZero:
         with pytest.raises(ValidationError):
             kernel.green_cutoff_zero(CutoffSpec(0.5), D1)
 
+    def test_ratio_whose_square_overflows_rejected(self):
+        assert math.isfinite(kernel.green_cutoff_zero(CutoffSpec(1e154), D1).real)
+        for lam in (1.35e154, 1e300):
+            with pytest.raises(ValidationError):
+                kernel.green_cutoff_zero(CutoffSpec(lam), D1)
+
 
 class TestGreenCutoffQuadrature:
     @pytest.mark.parametrize("lam", [2.0, 10.0, 100.0])

@@ -26,11 +26,13 @@ def random_band_amplitude(rng):
 
 class TestCoupling:
     def test_zero_rejected_everywhere(self):
-        for maker in (Coupling.finite,
-                      lambda z: Coupling.bare(z, 10.0),
-                      lambda z: Coupling.renormalized(z, 1.0)):
-            with pytest.raises(ValidationError):
-                maker(0.0)
+        # 1e-320 is nonzero, but its reciprocal overflows
+        for value in (0.0, 1e-320, complex(1e-320, 1e-320)):
+            for maker in (Coupling.finite,
+                          lambda z: Coupling.bare(z, 10.0),
+                          lambda z: Coupling.renormalized(z, 1.0)):
+                with pytest.raises(ValidationError):
+                    maker(value)
 
     def test_bare_requires_cutoff(self):
         with pytest.raises(ValidationError):
