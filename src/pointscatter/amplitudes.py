@@ -179,6 +179,7 @@ class IncidentWave:
         if not (isinstance(self.k, (int, float)) and not isinstance(self.k, bool)
                 and math.isfinite(self.k) and self.k > 0):
             raise ValidationError(f"wavenumber must be positive, got {self.k!r}")
+        Dispersion(self.k)  # also rejects k below kernel.MIN_WAVENUMBER
         if not (isinstance(self.theta0, (int, float)) and math.isfinite(self.theta0)):
             raise ValidationError(f"incidence angle must be finite, got {self.theta0!r}")
         if not (0.5 * math.pi < self.theta0 < 1.5 * math.pi):

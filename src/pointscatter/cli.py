@@ -31,8 +31,9 @@ FAR_FIELD_NTHETA = 120
 
 MAX_GRID_NODES = 250_000
 """Largest ``field --grid`` node count nx*ny.  The rendered table is held in
-memory, about 0.7 KB per node as CSV and 2.5 KB as JSON, so a run at the cap
-peaks near 0.26 GB (CSV) or 0.7 GB (JSON); the default grid has 40 401 nodes."""
+memory, about 0.7 KB per node as CSV and 1.3 KB as JSON, so a run at the cap
+peaks near 0.26 GB (CSV) or 0.4 GB (JSON) and takes 1.3-1.6 s or 2.5-2.8 s
+on a 2-vCPU Xeon VM; the default grid has 40 401 nodes."""
 
 MAX_THETA_GRID = 10_000
 """Largest ``amplitude --theta-grid``: one solve per angle, ~0.7 s at the cap."""
@@ -157,20 +158,58 @@ def _csv_bytes(header, rows) -> bytes:
     return (",".join(header) + "\r\n" + body).encode("utf-8")
 
 
-def _json_bytes(obj) -> bytes:
-    return (json.dumps(obj, indent=2) + "\n").encode("utf-8")
+_JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
-def _json_rows(header, rows):
-    return [dict(zip(header, map(_json_float, row)))
-            for row in np.asarray(rows, dtype=float).tolist()]
+def _json_tokens(table) -> list[str]:
+    """Each cell rounded to 15 significant digits, as json.dumps writes it.
+
+    A "%.15g" token already reads as repr(float(token)), which is what
+    json.dumps writes, unless the token is integral ("-0", "3"), has
+    exponent e+15 (repr stays positional below 1e16), is subnormal or near
+    DBL_MAX (they lose digits or round to inf), or is not finite.  Those
+    cells are rewritten through repr.  The test that finds them also takes
+    harmless others: every |v| >= 5e13 passes |v - rint(v)| <= 1e-14 |v|.
+    """
+    flat = table.ravel()
+    tokens = ("%.15g\n" * flat.size % tuple(flat.tolist())).split("\n")
+    tokens.pop()
+    finite = np.isfinite(flat)
+    size = np.abs(flat)
+    v = np.where(finite, flat, 0.0)
+    slow = ~finite | (size < 1e-290) | (np.abs(v - np.rint(v)) <= 1e-14 * size)
+    for i in np.flatnonzero(slow).tolist():
+        text = repr(float(tokens[i]))
+        tokens[i] = _JSON_NONFINITE.get(text, text)
+    return tokens
+
+
+def _json_table(header, rows) -> str:
+    """The table as json.dumps(indent=2) writes a list of {name: cell} row
+    objects one level inside a report, filled in one % pass."""
+    table = np.asarray(rows, dtype=float)
+    if len(table) == 0:
+        return "[]"
+    members = ",\n".join(f"      {json.dumps(name).replace('%', '%%')}: %s" for name in header)
+    row = "    {\n" + members + "\n    }"
+    return "[\n" + ",\n".join([row] * len(table)) % tuple(_json_tokens(table)) + "\n  ]"
+
+
+def _json_bytes(report, tables=()) -> bytes:
+    """The non-empty ``report`` as json.dumps(indent=2) writes it, with each
+    (key, header, rows) of ``tables`` appended as a list of row objects."""
+    text = json.dumps(report, indent=2)
+    if tables:
+        text = text[:-2] + "".join(f",\n  {json.dumps(key)}: {_json_table(header, rows)}"
+                                   for key, header, rows in tables) + "\n}"
+    return (text + "\n").encode("utf-8")
 
 
 def _table(args, header, rows, report):
     """The table as CSV, or the JSON ``report`` with the table appended as "rows"."""
     if args.format == "csv":
         return [(None, _csv_bytes(header, rows))]
-    return [(None, _json_bytes({**report, "rows": _json_rows(header, rows)}))]
+    return [(None, _json_bytes(report, [("rows", header, rows)]))]
 
 
 def _incident(args) -> IncidentWave:
@@ -334,15 +373,14 @@ def cmd_field(args):
         if far is not None:
             outputs.append((".farfield.csv", _csv_bytes(*far)))
         return outputs
-    obj = {
+    tables = [("rows", header, rows)]
+    if far is not None:
+        tables.append(("far_field", *far))
+    return [(None, _json_bytes({
         "command": "field",
         "parameters": {"k": _json_float(w.k), "theta0": _json_float(w.theta0),
                        "psi0_only": bool(args.psi0_only)},
-        "rows": _json_rows(header, rows),
-    }
-    if far is not None:
-        obj["far_field"] = _json_rows(*far)
-    return [(None, _json_bytes(obj))]
+    }, tables))]
 
 
 def render_command(argv) -> bytes:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import sys
 import warnings
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -58,6 +59,14 @@ class GridSpec:
             raise ValidationError(f"grid point counts must be integers, got {counts!r}")
         if self.nx < 2 or self.ny < 2:
             raise ValidationError("grid needs at least 2 points per axis")
+        for axis, lo, hi, n in (("x", self.x0, self.x1, self.nx),
+                                ("y", self.y0, self.y1, self.ny)):
+            h = (hi - lo) / (n - 1)
+            # the current stencil divides by spacing products, which must not underflow
+            if not (math.isfinite(h) and h * h >= sys.float_info.min):
+                raise ValidationError(
+                    f"{axis} spacing {h!r} must be finite and its square at least "
+                    f"{sys.float_info.min!r}")
 
     def axes(self):
         return (np.linspace(self.x0, self.x1, self.nx),

@@ -18,6 +18,7 @@ next to its value.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -29,6 +30,8 @@ from .specfun import bessel_j0, hankel1_0
 
 TWO_PI = 2.0 * math.pi
 FOUR_PI = 4.0 * math.pi
+MIN_WAVENUMBER = math.sqrt(sys.float_info.min)
+"""Smallest accepted wavenumber, ~1.49e-154: below it k*k is subnormal or 0."""
 
 PV_PLUS_DELTA = "pv-delta"
 FINITE_EPSILON = "finite-epsilon"
@@ -44,6 +47,9 @@ class Dispersion:
         if not (isinstance(self.k, (int, float)) and not isinstance(self.k, bool)
                 and math.isfinite(self.k) and self.k > 0):
             raise ValidationError(f"wavenumber must be finite and positive, got {self.k!r}")
+        if self.k * self.k < sys.float_info.min:
+            raise ValidationError(
+                f"wavenumber {self.k!r} is below {MIN_WAVENUMBER!r}, where k*k underflows")
         object.__setattr__(self, "k", float(self.k))
 
 

@@ -3,6 +3,7 @@ import csv
 import io
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -304,6 +305,52 @@ class TestFieldBytesAgainstCellReference:
         assert written == _reference_field_payloads(k, theta0, z, grid, fmt)
 
 
+def _reference_json_bytes(report, tables):
+    """json.dumps(indent=2) over one {name: cell} dict per row, each cell
+    rounded through its 15-significant-digit form."""
+    def cell(v):
+        return float(f"{v:.15g}") if math.isfinite(v) else v
+
+    obj = dict(report)
+    for key, header, rows in tables:
+        obj[key] = [{name: cell(v) for name, v in zip(header, row)} for row in rows]
+    return (json.dumps(obj, indent=2) + "\n").encode("utf-8")
+
+
+_DBL_MAX = sys.float_info.max
+
+
+def _table_strategy():
+    header = st.lists(st.text(max_size=4), min_size=1, max_size=4, unique=True)
+    return header.flatmap(lambda names: st.tuples(
+        st.just(names),
+        st.lists(st.lists(st.floats(), min_size=len(names), max_size=len(names)),
+                 max_size=5)))
+
+
+class TestJsonTableBytes:
+    REPORT = {"command": "t", "parameters": {"k": 1.0}}
+
+    @pytest.mark.parametrize("rows", [
+        [],
+        [[1.5, -2.25]],
+        [[_DBL_MAX, -_DBL_MAX], [5e-324, -5e-324]],
+        [[1e15, 9.99999999999999e15], [123456789012345.0, 1e16]],
+        [[-0.0, 0.0], [1.0, -3.0], [1e14, 2.0 ** 52]],
+        [[2.9999999999999996, 0.30000000000000004], [1e-5, 1.7976931348623e308]],
+        [[math.nan, math.inf], [-math.inf, -math.nan]],
+    ])
+    def test_explicit_tables(self, rows):
+        tables = [("rows", ["x", "y"], rows)]
+        assert cli._json_bytes(self.REPORT, tables) == _reference_json_bytes(self.REPORT, tables)
+
+    @settings(max_examples=300)
+    @given(first=_table_strategy(), second=_table_strategy())
+    def test_matches_dict_reference(self, first, second):
+        tables = [("rows", *first), ("far_field", *second)]
+        assert cli._json_bytes(self.REPORT, tables) == _reference_json_bytes(self.REPORT, tables)
+
+
 _EXTREMES = st.one_of(
     st.sampled_from([0.0, 1e-320, -1e-320, -1e300, math.nan, math.inf, -math.inf]),
     st.sampled_from([1e-300, 1e-150, 0.5, 1.0, 2.0, 3.0, 4.0, 1e150, 1e300]))
@@ -352,3 +399,16 @@ def test_extreme_argv_exits_cleanly(argv):
         assert err.getvalue().startswith(cli.ERROR_PREFIX)
     elif argv[0] != "field":
         assert not any(word in out.getvalue().lower() for word in ("nan", "inf"))
+
+
+@pytest.mark.parametrize("argv", [
+    ["family", "--k=1e-300"],
+    ["field", "--k=1e-300"],
+    ["field", "--psi0-only", "--k=1e-300"],
+    ["field", "--grid=0,1e-320,5,0,1,5"],
+    ["field", "--grid=1e-200,3.3e-200,7,0,1,5"],
+])
+def test_underflowing_wavenumber_or_spacing_rejected(argv, capsys):
+    code, out, err = run(argv, capsys)
+    assert (code, out, err.count("\n")) == (1, "", 1)
+    assert err.startswith(cli.ERROR_PREFIX) and "ValidationError" in err

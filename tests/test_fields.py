@@ -40,6 +40,11 @@ class TestGridSpec:
         for nx, ny in ((5.5, 5), (5, 5.0), (True, 5)):
             with pytest.raises(ValidationError, match="integers"):
                 GridSpec(0.0, 1.0, nx, 0.0, 1.0, ny)
+        # denormal spacing, spacing whose square underflows, width that overflows
+        for axes in ((0.0, 1e-320, 5, 0.0, 1.0, 5), (0.0, 1.0, 5, 1e-200, 3.3e-200, 7),
+                     (-1e308, 1e308, 5, 0.0, 1.0, 5)):
+            with pytest.raises(ValidationError, match="spacing"):
+                GridSpec(*axes)
 
 
 class TestTotalField:

@@ -21,6 +21,11 @@ class TestDispersionAndCutoffTypes:
         with pytest.raises(ValidationError):
             Dispersion(bad)
 
+    def test_wavenumber_whose_square_underflows_rejected(self):
+        with pytest.raises(ValidationError, match="underflows"):
+            Dispersion(1e-155)
+        assert Dispersion(kernel.MIN_WAVENUMBER).k == kernel.MIN_WAVENUMBER
+
     def test_cutoff_validation(self):
         with pytest.raises(ValidationError):
             CutoffSpec(-1.0)
