@@ -11,6 +11,7 @@ single-line machine-parseable diagnostic; numerical-invariant failures from
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -36,7 +37,9 @@ peaks near 0.26 GB (CSV) or 0.4 GB (JSON) and takes 1.3-1.6 s or 2.5-2.8 s
 on a 2-vCPU Xeon VM; the default grid has 40 401 nodes."""
 
 MAX_THETA_GRID = 10_000
-"""Largest ``amplitude --theta-grid``: one solve per angle, ~0.7 s at the cap."""
+"""Largest ``amplitude --theta-grid``.  The amplitude is isotropic, so a
+command solves once whatever the grid; at the cap it takes ~60 ms (CSV) or
+~90 ms (JSON) on a 2-vCPU Xeon VM, most of it rendering the table."""
 
 
 def _json_float(value: float) -> float:
@@ -49,35 +52,42 @@ class _Parser(argparse.ArgumentParser):
         raise ValidationError(message)
 
 
+# The argument types raise ArgumentTypeError: argparse shows its message, but
+# replaces that of any ValueError (ValidationError included) with
+# "invalid <function name> value".
+
 def _parse_complex(text: str) -> complex:
     parts = text.split(",")
     if len(parts) != 2:
-        raise ValidationError(f"expected RE,IM complex pair, got {text!r}")
+        raise argparse.ArgumentTypeError(f"expected RE,IM complex pair, got {text!r}")
     try:
         return complex(float(parts[0]), float(parts[1]))
     except ValueError as exc:
-        raise ValidationError(f"bad complex pair {text!r}") from exc
+        raise argparse.ArgumentTypeError(f"bad complex pair {text!r}") from exc
 
 
 def _parse_float_list(text: str) -> list[float]:
     try:
         values = [float(p) for p in text.split(",") if p != ""]
     except ValueError as exc:
-        raise ValidationError(f"bad numeric list {text!r}") from exc
+        raise argparse.ArgumentTypeError(f"bad numeric list {text!r}") from exc
     if not values:
-        raise ValidationError("empty numeric list")
+        raise argparse.ArgumentTypeError("empty numeric list")
     return values
 
 
 def _parse_grid(text: str) -> fields.GridSpec:
     parts = text.split(",")
     if len(parts) != 6:
-        raise ValidationError(f"expected X0,X1,NX,Y0,Y1,NY, got {text!r}")
+        raise argparse.ArgumentTypeError(f"expected X0,X1,NX,Y0,Y1,NY, got {text!r}")
     try:
-        spec = fields.GridSpec(float(parts[0]), float(parts[1]), int(parts[2]),
-                               float(parts[3]), float(parts[4]), int(parts[5]))
+        values = [cast(p) for cast, p in zip((float, float, int) * 2, parts)]
     except ValueError as exc:
-        raise ValidationError(f"bad grid spec {text!r}") from exc
+        raise argparse.ArgumentTypeError(f"bad grid spec {text!r}") from exc
+    try:
+        spec = fields.GridSpec(*values)
+    except ValidationError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from exc
     if spec.nx * spec.ny > MAX_GRID_NODES:
         raise argparse.ArgumentTypeError(
             f"{spec.nx}x{spec.ny} grid exceeds {MAX_GRID_NODES} nodes")
@@ -85,7 +95,10 @@ def _parse_grid(text: str) -> fields.GridSpec:
 
 
 def _parse_theta_grid(text: str) -> int:
-    n = int(text)
+    try:
+        n = int(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"N must be an integer, got {text!r}") from exc
     if not 1 <= n <= MAX_THETA_GRID:
         raise argparse.ArgumentTypeError(f"N must be in [1, {MAX_THETA_GRID}], got {n}")
     return n
@@ -146,6 +159,13 @@ def build_parser() -> _Parser:
     p_verify.add_argument("--out", default=None, metavar="PATH")
 
     return parser
+
+
+@functools.cache
+def _parser() -> _Parser:
+    """The process's one parser, built on first use.  Reuse is safe: parsing
+    mutates no parser, and no command mutates a default."""
+    return build_parser()
 
 
 # ---------------------------------------------------------------------------
@@ -242,17 +262,17 @@ def cmd_amplitude(args):
     z = Coupling.finite(args.z)
     z_tilde = Coupling.renormalized(args.z, w.k)
     thetas = _theta_values(w, args.theta_grid)
+    for theta in thetas:
+        transfer._validate_scattering_angle(theta, w.theta0)
+    # both amplitudes are isotropic: one solve serves every angle
+    f1 = transfer.scattering_amplitude_dfss(w, z, thetas[0])
+    f2 = transfer.scattering_amplitude_renormalized(w, z_tilde)
     header = ["theta", "re_f_dfss", "im_f_dfss", "abs2_f_dfss",
               "re_f_renormalized", "im_f_renormalized", "abs2_f_renormalized",
               "abs_route_difference"]
-    rows = []
-    agree = True
-    for theta in thetas:
-        f1 = transfer.scattering_amplitude_dfss(w, z, theta)
-        f2 = transfer.scattering_amplitude_renormalized(w, z_tilde)
-        agree = agree and (f1 == f2)
-        rows.append([theta, f1.real, f1.imag, abs(f1) ** 2,
-                     f2.real, f2.imag, abs(f2) ** 2, abs(f1 - f2)])
+    same = [f1.real, f1.imag, abs(f1) ** 2, f2.real, f2.imag, abs(f2) ** 2, abs(f1 - f2)]
+    rows = [[theta, *same] for theta in thetas]
+    agree = f1 == f2
     return _table(args, header, rows, {
         "command": "amplitude",
         "parameters": {"k": _json_float(w.k), "theta0": _json_float(w.theta0),
@@ -385,7 +405,7 @@ def cmd_field(args):
 
 def render_command(argv) -> bytes:
     """Parse and execute a non-verify command, returning its primary payload."""
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     if args.command == "verify":
         raise ValidationError("render_command does not run the verify suite")
     outputs = _DISPATCH[args.command](args)
@@ -434,7 +454,7 @@ _DISPATCH = {
 
 def main(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        args = _parser().parse_args(argv)
         if args.command == "verify":
             return _run_verify(args)
         _write(args, _DISPATCH[args.command](args))

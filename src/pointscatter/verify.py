@@ -68,6 +68,7 @@ def oracle_j0(x: float, prec: int | None = None) -> Decimal:
         prec = _oracle_prec(x)
     with localcontext() as ctx:
         ctx.prec = prec
+        stop = Decimal(10) ** (-(prec - 20))
         q = Decimal(x) * Decimal(x) / 4
         term = Decimal(1)
         total = Decimal(1)
@@ -76,7 +77,7 @@ def oracle_j0(x: float, prec: int | None = None) -> Decimal:
             m += 1
             term = term * q / (m * m)
             total += term if m % 2 == 0 else -term
-            if m > 4 and abs(term) < Decimal(10) ** (-(prec - 20)):
+            if m > 4 and abs(term) < stop:
                 break
             if m > 2000:
                 raise RuntimeError("oracle series failed to converge")
@@ -89,6 +90,7 @@ def oracle_y0(x: float, prec: int | None = None) -> Decimal:
         prec = _oracle_prec(x)
     with localcontext() as ctx:
         ctx.prec = prec
+        stop = Decimal(10) ** (-(prec - 20))
         q = Decimal(x) * Decimal(x) / 4
         term = Decimal(1)
         harmonic = Decimal(0)
@@ -100,7 +102,7 @@ def oracle_y0(x: float, prec: int | None = None) -> Decimal:
             harmonic += Decimal(1) / m
             contrib = term * harmonic
             total += -contrib if m % 2 == 0 else contrib
-            if m > 4 and abs(contrib) < Decimal(10) ** (-(prec - 20)):
+            if m > 4 and abs(contrib) < stop:
                 break
             if m > 2000:
                 raise RuntimeError("oracle series failed to converge")

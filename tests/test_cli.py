@@ -77,6 +77,22 @@ class TestAmplitudeCommand:
         assert code == 1
         assert err.startswith(cli.ERROR_PREFIX) and err.count("\n") == 1
 
+    def test_one_solve_per_command(self, monkeypatch):
+        calls = []
+        solve = transfer.solve_fundamental
+        monkeypatch.setattr(transfer, "solve_fundamental",
+                            lambda *a: calls.append(a) or solve(*a))
+        cli.render_command(["amplitude", "--theta-grid=64"])
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_bytes_match_one_solve_per_angle(self, fmt):
+        k, theta0, z, n = 0.8, 2.5, 0.7 - 1.3j, 64
+        payload = cli.render_command([
+            "amplitude", f"--k={k!r}", f"--theta0={theta0!r}",
+            f"--z={z.real!r},{z.imag!r}", f"--theta-grid={n}", f"--format={fmt}"])
+        assert payload == _reference_amplitude_bytes(k, theta0, z, n, fmt)
+
 
 class TestFlowCommand:
     def test_difference_column_decreases(self, capsys):
@@ -204,6 +220,36 @@ class TestDeterminism:
         assert payload.count(b"\r\n") == 5  # header + 4 rows
 
 
+class TestParser:
+    @pytest.mark.parametrize("argv, reason", [
+        (["field", "--grid=0,1e-320,5,0,1,5"], "x spacing 2.5e-321 must be finite"),
+        (["field", "--grid=1,0,5,0,1,5"], "grid bounds must be strictly increasing"),
+        (["amplitude", "--z=1,2,3"], "expected RE,IM complex pair, got '1,2,3'"),
+        (["flow", "--lambda=a,b"], "bad numeric list 'a,b'"),
+        (["flow", "--lambda=,"], "empty numeric list"),
+        (["amplitude", "--theta-grid=x"], "N must be an integer, got 'x'"),
+        (["family", "--b-plus=1"], "expected RE,IM complex pair, got '1'"),
+    ], ids=["denormal-spacing", "decreasing-bounds", "complex-triple", "non-numeric-list",
+            "empty-list", "non-integer-theta-grid", "complex-single"])
+    def test_type_errors_name_their_reason(self, argv, reason, capsys):
+        code, out, err = run(argv, capsys)
+        assert (code, out, err.count("\n")) == (1, "", 1)
+        assert err.startswith(cli.ERROR_PREFIX)
+        assert "_parse_" not in err and reason in err
+
+    def test_parser_reuse_matches_fresh_parser(self, tmp_path, capsys):
+        assert cli._parser() is cli._parser()
+        assert cli.build_parser() is not cli.build_parser()
+        for argv in (["flow", "--lambda=2,3", "--mu=2"],
+                     ["field", "--grid=-0.1,0.1,11,-0.1,0.1,11", f"--out={tmp_path / 'f.csv'}"],
+                     ["family", "--b-plus=1,1"]):
+            assert run(argv, capsys)[0] == 0
+        assert run(["flow", "--lambda=3,2,x"], capsys)[0] == 1
+        for command in cli._DISPATCH:
+            fresh = cli._DISPATCH[command](cli.build_parser().parse_args([command]))
+            assert cli.render_command([command]) == fresh[0][1]
+
+
 class TestVerifyCommand:
     def test_clean_run_passes(self, capsys):
         code, out, _ = run(["verify"], capsys)
@@ -263,28 +309,49 @@ def _reference_field_payloads(k, theta0, z, grid_axes, fmt):
             far_rows.append([kr, theta, psi.real, psi.imag, asym.real, asym.imag,
                              abs(psi - asym), abs(psi - asym) / scale])
 
-    def csv_bytes(head, table):
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(head)
-        for row in table:
-            writer.writerow([f"{v:.15g}" for v in row])
-        return buf.getvalue().encode("utf-8")
-
-    def json_value(v):
-        return float(f"{v:.15g}") if math.isfinite(v) else v
-
-    def json_rows(head, table):
-        return [{name: json_value(v) for name, v in zip(head, row)} for row in table]
-
     if fmt == "csv":
-        return [csv_bytes(header, rows), csv_bytes(far_header, far_rows)]
-    obj = {"command": "field",
-           "parameters": {"k": json_value(k), "theta0": json_value(theta0),
-                          "psi0_only": False},
-           "rows": json_rows(header, rows),
-           "far_field": json_rows(far_header, far_rows)}
-    return [(json.dumps(obj, indent=2) + "\n").encode("utf-8")]
+        return [_reference_csv_bytes(header, rows), _reference_csv_bytes(far_header, far_rows)]
+    report = {"command": "field",
+              "parameters": {"k": _json_value(k), "theta0": _json_value(theta0),
+                             "psi0_only": False}}
+    return [_reference_json_bytes(report, [("rows", header, rows),
+                                           ("far_field", far_header, far_rows)])]
+
+
+def _reference_amplitude_bytes(k, theta0, z, n, fmt):
+    """``amplitude`` rendered with one scattering_amplitude_dfss call per angle."""
+    w = IncidentWave(k, theta0)
+    header = ["theta", "re_f_dfss", "im_f_dfss", "abs2_f_dfss",
+              "re_f_renormalized", "im_f_renormalized", "abs2_f_renormalized",
+              "abs_route_difference"]
+    rows = []
+    for j in range(n):
+        theta = -0.5 * math.pi + (j + 0.5) * 2.0 * math.pi / n
+        f1 = transfer.scattering_amplitude_dfss(w, Coupling.finite(z), theta)
+        f2 = transfer.scattering_amplitude_renormalized(w, Coupling.renormalized(z, k))
+        rows.append([theta, f1.real, f1.imag, abs(f1) ** 2,
+                     f2.real, f2.imag, abs(f2) ** 2, abs(f1 - f2)])
+    if fmt == "csv":
+        return _reference_csv_bytes(header, rows)
+    report = {"command": "amplitude",
+              "parameters": {"k": _json_value(k), "theta0": _json_value(theta0),
+                             "z": [_json_value(z.real), _json_value(z.imag)]},
+              "forward_direction": "excluded: carries -2*pi*delta(theta - theta0), symbolic only",
+              "routes_agree": all(row[-1] == 0 for row in rows)}
+    return _reference_json_bytes(report, [("rows", header, rows)])
+
+
+def _reference_csv_bytes(head, table):
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(head)
+    for row in table:
+        writer.writerow([f"{v:.15g}" for v in row])
+    return buf.getvalue().encode("utf-8")
+
+
+def _json_value(v):
+    return float(f"{v:.15g}") if math.isfinite(v) else v
 
 
 class TestFieldBytesAgainstCellReference:
@@ -308,12 +375,9 @@ class TestFieldBytesAgainstCellReference:
 def _reference_json_bytes(report, tables):
     """json.dumps(indent=2) over one {name: cell} dict per row, each cell
     rounded through its 15-significant-digit form."""
-    def cell(v):
-        return float(f"{v:.15g}") if math.isfinite(v) else v
-
     obj = dict(report)
     for key, header, rows in tables:
-        obj[key] = [{name: cell(v) for name, v in zip(header, row)} for row in rows]
+        obj[key] = [{name: _json_value(v) for name, v in zip(header, row)} for row in rows]
     return (json.dumps(obj, indent=2) + "\n").encode("utf-8")
 
 
