@@ -88,9 +88,6 @@ class GeneralizedAmplitude:
         object.__setattr__(self, "atoms", canonical)
         object.__setattr__(self, "background", complex(self.background))
 
-    def is_zero(self) -> bool:
-        return self.background == 0 and all(a.weight == 0 for a in self.atoms)
-
 
 def zero_amplitude(support: str = FULL_LINE) -> GeneralizedAmplitude:
     return GeneralizedAmplitude((), 0j, support)

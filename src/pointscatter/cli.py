@@ -262,8 +262,6 @@ def cmd_amplitude(args):
     z = Coupling.finite(args.z)
     z_tilde = Coupling.renormalized(args.z, w.k)
     thetas = _theta_values(w, args.theta_grid)
-    for theta in thetas:
-        transfer._validate_scattering_angle(theta, w.theta0)
     # both amplitudes are isotropic: one solve serves every angle
     f1 = transfer.scattering_amplitude_dfss(w, z, thetas[0])
     f2 = transfer.scattering_amplitude_renormalized(w, z_tilde)

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy import integrate
+import scipy  # bare package: scipy.integrate loads on first use
 
 from .errors import ConvergenceError, QuadratureError, ValidationError
 from .specfun import bessel_j0, hankel1_0
@@ -146,7 +146,7 @@ def _quad(f, a, b, **kwargs):
     kwargs.setdefault("epsabs", 1e-11)
     kwargs.setdefault("epsrel", 1e-11)
     kwargs.setdefault("limit", 400)
-    out = integrate.quad(f, a, b, full_output=1, **kwargs)
+    out = scipy.integrate.quad(f, a, b, full_output=1, **kwargs)
     value, abserr = out[0], out[1]
     if len(out) > 3 and abserr > 1e-6 * max(1.0, abs(value)):
         raise QuadratureError(f"quadrature on [{a!r}, {b!r}] did not converge: {out[3]}",

@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy import special
+import scipy  # bare package: scipy.special loads on first use
 
 from .errors import DomainError
 
@@ -38,7 +38,7 @@ def _as_checked_float(x, allow_zero):
 
 def bessel_j0(x: float) -> float:
     """Bessel function of the first kind, order zero, for x >= 0."""
-    return float(special.j0(_as_checked_float(x, allow_zero=True)))
+    return float(scipy.special.j0(_as_checked_float(x, allow_zero=True)))
 
 
 def bessel_y0(x: float) -> float:
@@ -47,7 +47,7 @@ def bessel_y0(x: float) -> float:
     Reproduces the logarithmic small-argument behavior
     (2/pi)(ln(x/2) + gamma) J0(x) + analytic series.
     """
-    return float(special.y0(_as_checked_float(x, allow_zero=False)))
+    return float(scipy.special.y0(_as_checked_float(x, allow_zero=False)))
 
 
 def hankel1_0(x: float) -> complex:
@@ -59,7 +59,7 @@ def hankel1_0(x: float) -> complex:
     ``kernel.regularized_h0_at_zero``.
     """
     x = _as_checked_float(x, allow_zero=False)
-    return complex(special.j0(x), special.y0(x))
+    return complex(scipy.special.j0(x), scipy.special.y0(x))
 
 
 def hankel1_0_small_x_expansion(x: float) -> complex:
@@ -86,15 +86,15 @@ def _as_checked_array(x, allow_zero):
 
 def bessel_j0_array(x) -> np.ndarray:
     """Elementwise ``bessel_j0`` for grid fills."""
-    return special.j0(_as_checked_array(x, allow_zero=True))
+    return scipy.special.j0(_as_checked_array(x, allow_zero=True))
 
 
 def bessel_y0_array(x) -> np.ndarray:
     """Elementwise ``bessel_y0`` for grid fills."""
-    return special.y0(_as_checked_array(x, allow_zero=False))
+    return scipy.special.y0(_as_checked_array(x, allow_zero=False))
 
 
 def hankel1_0_array(x) -> np.ndarray:
     """Elementwise ``hankel1_0`` for grid fills."""
     arr = _as_checked_array(x, allow_zero=False)
-    return special.j0(arr) + 1j * special.y0(arr)
+    return scipy.special.j0(arr) + 1j * scipy.special.y0(arr)

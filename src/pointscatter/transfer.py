@@ -42,9 +42,6 @@ FINITE = "finite"
 BARE = "bare"
 RENORMALIZED = "renormalized"
 
-SIGMA_2 = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
-SIGMA_3 = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
-
 
 @dataclass(frozen=True)
 class Coupling:

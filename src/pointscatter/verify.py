@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from decimal import Decimal, localcontext
 
 import numpy as np
-from scipy import integrate
+import scipy  # bare package: scipy.integrate loads on first use
 
 from . import fields, kernel, singfree, specfun, transfer
 from .amplitudes import IncidentWave
@@ -159,7 +159,7 @@ def _check_band_integral_pi() -> CheckResult:
     k = 1.0
     # adaptive quadrature with algebraic endpoint weights; the oracle side of
     # the exact band constant used by the solver
-    val, _ = integrate.quad(lambda q: 1.0, -k, k, weight="alg", wvar=(-0.5, -0.5))
+    val, _ = scipy.integrate.quad(lambda q: 1.0, -k, k, weight="alg", wvar=(-0.5, -0.5))
     measured = abs(val - math.pi)
     return CheckResult("2b-band-integral-pi", 1e-10, measured, measured <= 1e-10)
 

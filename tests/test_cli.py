@@ -3,7 +3,10 @@ import csv
 import io
 import json
 import math
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -60,6 +63,16 @@ class TestAmplitudeCommand:
         code, _, err = run(["amplitude", "--theta-grid", "2"], capsys)
         assert code == 1
         assert "ValidationError" in err
+
+    @pytest.mark.parametrize("n, angle", [(1, 0.5 * math.pi), (2, math.pi)])
+    def test_theta_grid_hitting_excluded_angle_line(self, n, angle, capsys):
+        # N=1 puts its only angle on the grazing direction pi/2; N=2 puts
+        # its second angle on the default forward direction theta0 = pi
+        code, out, err = run(["amplitude", f"--theta-grid={n}"], capsys)
+        assert (code, out) == (1, "")
+        assert err == (f"{cli.ERROR_PREFIX} ValidationError: theta grid with N={n} "
+                       f"hits an excluded angle ({angle!r}); "
+                       "choose a different --theta-grid\n")
 
     def test_bad_complex_pair(self, capsys):
         code, _, err = run(["amplitude", "--z", "1"], capsys)
@@ -273,6 +286,35 @@ class TestVerifyCommand:
         assert code == 2
         assert "[FAIL] 2a-closed-form-solve" in out
         assert "NUMERICAL INVARIANT FAILURE" in out
+
+
+class TestScipyLoadsLazily:
+    """``scipy.special`` and ``scipy.integrate`` load on first use, so the
+    closed-form commands never pay for them.  Each case runs in a fresh
+    interpreter, because this test process has long since loaded both."""
+
+    SCRIPT = """
+import contextlib, io, json, sys
+from pointscatter import cli
+codes = []
+with contextlib.redirect_stdout(io.StringIO()):
+    for argv in json.loads(sys.argv[1]):
+        codes.append(cli.main(argv))
+print(json.dumps([codes, [m for m in ("scipy.special", "scipy.integrate")
+                          if m in sys.modules]]))
+"""
+
+    def _run(self, argvs):
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+        proc = subprocess.run([sys.executable, "-c", self.SCRIPT, json.dumps(argvs)],
+                              env=env, capture_output=True, text=True, check=True)
+        return json.loads(proc.stdout)
+
+    def test_closed_form_commands_load_neither(self):
+        assert self._run([["amplitude"], ["flow"], ["family"]]) == [[0, 0, 0], []]
+
+    def test_verify_loads_both(self):
+        assert self._run([["verify"]]) == [[0], ["scipy.special", "scipy.integrate"]]
 
 
 def _reference_field_payloads(k, theta0, z, grid_axes, fmt):

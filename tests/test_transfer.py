@@ -7,10 +7,13 @@ from pointscatter import amplitudes as amp
 from pointscatter import transfer
 from pointscatter.errors import ForwardAngleError, PoleError, ValidationError
 from pointscatter.kernel import CutoffSpec, Dispersion, green_cutoff_zero
-from pointscatter.transfer import Coupling, K_MATRIX, SIGMA_2, SIGMA_3
+from pointscatter.transfer import Coupling, K_MATRIX
 
 D1 = Dispersion(1.0)
 W = amp.IncidentWave(1.0, math.pi)
+
+SIGMA_2 = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
+SIGMA_3 = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 
 C_PRIME_AT_1 = complex(-2.0 / 17.0, -8.0 / 17.0)
 F_AT_1 = complex(-0.18773754371832127, 0.04693438592958032)
