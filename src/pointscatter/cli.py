@@ -32,8 +32,8 @@ FAR_FIELD_NTHETA = 120
 
 MAX_GRID_NODES = 250_000
 """Largest ``field --grid`` node count nx*ny.  The rendered table is held in
-memory, about 0.7 KB per node as CSV and 1.3 KB as JSON, so a run at the cap
-peaks near 0.26 GB (CSV) or 0.4 GB (JSON) and takes 1.3-1.6 s or 2.5-2.8 s
+memory, about 0.66 KB per node as CSV and 1.2 KB as JSON, so a run at the cap
+peaks near 0.22 GB (CSV) or 0.36 GB (JSON) and takes 0.9-1.1 s or 1.5-1.6 s
 on a 2-vCPU Xeon VM; the default grid has 40 401 nodes."""
 
 MAX_THETA_GRID = 10_000
@@ -170,11 +170,34 @@ def _parser() -> _Parser:
 
 # ---------------------------------------------------------------------------
 # Rendering helpers
+#
+# A table is a header, the 2-D ``rows`` of its dense cells and an optional
+# ``few``, which maps the position of a column that takes few distinct values
+# to (values, index): that column's cell in row r is values[index[r]].  The
+# dense cells fill the other columns in order.  Each distinct value of a
+# ``few`` column is formatted once and its token reused.
 
-def _csv_bytes(header, rows) -> bytes:
-    table = np.asarray(rows, dtype=float)
-    line = ",".join(["%.15g"] * len(header)) + "\r\n"
-    body = (line * len(table)) % tuple(table.ravel().tolist())
+def _few_tokens(few, tokens_of) -> np.ndarray:
+    """The tokens of the ``few`` columns in column order, one row per table row."""
+    return np.column_stack([
+        np.array(tokens_of(np.asarray(values, dtype=float)), dtype=object)[index]
+        for values, index in (few[i] for i in sorted(few))])
+
+
+def _csv_tokens(values) -> list[str]:
+    return ["%.15g" % v for v in values.tolist()]
+
+
+def _csv_bytes(header, rows, few=None) -> bytes:
+    if few:
+        # bake the few-valued tokens into the line template; "%%" leaves the
+        # dense cells' conversions for the one %.15g pass below
+        line = ",".join(["%s" if i in few else "%%.15g" for i in range(len(header))])
+        tokens = _few_tokens(few, _csv_tokens).ravel().tolist()
+        template = (line + "\r\n") * len(rows) % tuple(tokens)
+    else:
+        template = (",".join(["%.15g"] * len(header)) + "\r\n") * len(rows)
+    body = template % tuple(np.asarray(rows, dtype=float).ravel().tolist())
     return (",".join(header) + "\r\n" + body).encode("utf-8")
 
 
@@ -204,24 +227,32 @@ def _json_tokens(table) -> list[str]:
     return tokens
 
 
-def _json_table(header, rows) -> str:
+def _json_table(header, rows, few=None) -> str:
     """The table as json.dumps(indent=2) writes a list of {name: cell} row
     objects one level inside a report, filled in one % pass."""
     table = np.asarray(rows, dtype=float)
-    if len(table) == 0:
+    n = len(table)
+    if n == 0:
         return "[]"
     members = ",\n".join(f"      {json.dumps(name).replace('%', '%%')}: %s" for name in header)
     row = "    {\n" + members + "\n    }"
-    return "[\n" + ",\n".join([row] * len(table)) % tuple(_json_tokens(table)) + "\n  ]"
+    tokens = _json_tokens(table)
+    if few:
+        dense = [i for i in range(len(header)) if i not in few]
+        matrix = np.empty((n, len(header)), dtype=object)
+        matrix[:, dense] = np.array(tokens, dtype=object).reshape(n, len(dense))
+        matrix[:, sorted(few)] = _few_tokens(few, _json_tokens)
+        tokens = matrix.ravel().tolist()
+    return "[\n" + ",\n".join([row] * n) % tuple(tokens) + "\n  ]"
 
 
 def _json_bytes(report, tables=()) -> bytes:
     """The non-empty ``report`` as json.dumps(indent=2) writes it, with each
-    (key, header, rows) of ``tables`` appended as a list of row objects."""
+    (key, header, rows[, few]) of ``tables`` appended as a list of row objects."""
     text = json.dumps(report, indent=2)
     if tables:
-        text = text[:-2] + "".join(f",\n  {json.dumps(key)}: {_json_table(header, rows)}"
-                                   for key, header, rows in tables) + "\n}"
+        text = text[:-2] + "".join(f",\n  {json.dumps(key)}: {_json_table(*table)}"
+                                   for key, *table in tables) + "\n}"
     return (text + "\n").encode("utf-8")
 
 
@@ -352,13 +383,18 @@ def cmd_family(args):
 
 
 def _field_rows(grid: fields.FieldGrid, current: fields.CurrentGrid):
+    """The field table, row (i, j) for node (x[i], y[j]) in ij order: x, y and
+    the mask as few-valued columns, the field and current dense."""
     header = ["x", "y", "re_psi", "im_psi", "abs2_psi", "jx", "jy", "mask"]
     v = grid.values
+    nx, ny = v.shape
     # hypot and float_power match scalar abs(psi) ** 2 bit for bit; np.abs and ** 2 do not
     abs2 = np.float_power(np.hypot(v.real, v.imag), 2)
-    X, Y = np.meshgrid(grid.x, grid.y, indexing="ij")
-    columns = (X, Y, v.real, v.imag, abs2, current.jx, current.jy, grid.excluded_mask)
-    return header, np.column_stack([np.ravel(c) for c in columns])
+    dense = (v.real, v.imag, abs2, current.jx, current.jy)
+    few = {0: (grid.x, np.repeat(np.arange(nx), ny)),
+           1: (grid.y, np.tile(np.arange(ny), nx)),
+           7: ((0.0, 1.0), np.ravel(grid.excluded_mask).astype(np.intp))}
+    return header, np.column_stack([np.ravel(c) for c in dense]), few
 
 
 def cmd_field(args):
@@ -373,7 +409,7 @@ def cmd_field(args):
     else:
         grid = fields.total_field(w, Coupling.finite(args.z), args.grid)
     current = fields.current_density(grid, k=w.k)
-    header, rows = _field_rows(grid, current)
+    header, rows, few = _field_rows(grid, current)
 
     far = None
     if args.far_field:
@@ -387,11 +423,11 @@ def cmd_field(args):
             s.residual / s.scale)) for s in samples]))
 
     if args.format == "csv":
-        outputs = [(None, _csv_bytes(header, rows))]
+        outputs = [(None, _csv_bytes(header, rows, few))]
         if far is not None:
             outputs.append((".farfield.csv", _csv_bytes(*far)))
         return outputs
-    tables = [("rows", header, rows)]
+    tables = [("rows", header, rows, few)]
     if far is not None:
         tables.append(("far_field", *far))
     return [(None, _json_bytes({

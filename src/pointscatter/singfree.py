@@ -25,7 +25,7 @@ from .amplitudes import Atom, GeneralizedAmplitude, FULL_LINE, IncidentWave, pro
 from .errors import PoleError, PointScatterError, ValidationError
 from .kernel import FOUR_PI, TWO_PI, CutoffSpec, Dispersion, regularized_h0_at_zero, varpi
 from .specfun import EULER_GAMMA, hankel1_0
-from .transfer import Coupling, FINITE, SQRT_8PI, _amplitude_pole_denominator
+from .transfer import Coupling, FINITE, SQRT_8PI, _amplitude_pole_denominator, _residual_scale
 
 
 @dataclass(frozen=True)
@@ -105,7 +105,8 @@ def family_solution(w: IncidentWave, z: Coupling, params: FamilyParams,
     """Member of the solution family at cutoff lam.
 
     c = -i (1 + b- + b+) / (2 (z^{-1} + (i/4) H0_reg)); the returned F is
-    verified to satisfy its own fixed-point equation to 1e-12 before use.
+    verified to satisfy its own fixed-point equation before use, to 1e-12
+    times ``transfer._residual_scale`` of the smeared background c H0_reg.
     """
     d = w.dispersion()
     den = _family_denominator(z, lam, d)
@@ -113,9 +114,11 @@ def family_solution(w: IncidentWave, z: Coupling, params: FamilyParams,
     f_repr = FRepresentation(w.p0, w.k, params.b_plus, params.b_minus, c)
 
     c_check = (-1j * z.value / FOUR_PI) * f_repr.integrate_plain(lam, d)
-    if abs(c_check - c) > 1e-12 * max(1.0, abs(c)):
+    # the background c/varpi integrates to pi c H0_reg on the cutoff line
+    bound = 1e-12 * _residual_scale(z.value, c * regularized_h0_at_zero(CutoffSpec(lam), d))
+    if abs(c_check - c) > bound:
         raise PointScatterError(
-            f"family fixed-point residual {abs(c_check - c):.3e} exceeds 1e-12")
+            f"family fixed-point residual {abs(c_check - c):.3e} exceeds {bound:.3e}")
     return f_repr, c
 
 

@@ -198,6 +198,18 @@ def fundamental_entries(z: Coupling, d: Dispersion):
     return (TransferEntry(0j, -coeff, BAND_DOMAIN), TransferEntry(1.0 + 0j, coeff, BAND_DOMAIN))
 
 
+def _residual_scale(z: complex, c: complex) -> float:
+    """max(1, |c|, S) with S = |z| |c| / (4 pi): the scale of rounding in the
+    residual of a smear with coefficient i z / (4 pi) whose background
+    integrates to pi c.
+
+    The smear cancels terms of size ~S down to the solution's constant; at
+    strong coupling S grows like |z| while that constant stays near 2, so a
+    bound relative to the constant alone fails on rounding.
+    """
+    return max(1.0, abs(c), abs(z / FOUR_PI) * abs(c))
+
+
 @dataclass(frozen=True)
 class FundamentalSolution:
     b_minus: GeneralizedAmplitude
@@ -210,8 +222,8 @@ def solve_fundamental(w: IncidentWave, z: Coupling) -> FundamentalSolution:
 
     The closed-form constant is c' = -i / (2 (z^{-1} + i/4)); the returned
     B- is the source atom plus c' background, A+ the constant c'.  The
-    residual of M22 B- against the source is verified to 1e-12 before
-    returning.
+    residual of M22 B- against the source is verified to 1e-12 max(1, |c'|, S)
+    before returning, with S from ``_residual_scale(z, c')``.
     """
     if z.kind != FINITE:
         raise ValidationError("solve_fundamental takes a finite coupling")
@@ -225,7 +237,7 @@ def solve_fundamental(w: IncidentWave, z: Coupling) -> FundamentalSolution:
     a_plus = m12.apply(b_minus, d)
 
     residual = add(m22.apply(b_minus, d), scale(source, -1.0))
-    if _magnitude(residual) > 1e-12 * max(1.0, abs(c_prime)):
+    if _magnitude(residual) > 1e-12 * _residual_scale(z.value, c_prime):
         raise PointScatterError(
             f"internal solve inconsistency: residual {_magnitude(residual):.3e}")
     return FundamentalSolution(b_minus, a_plus, c_prime)
@@ -253,7 +265,10 @@ def scattering_amplitude_dfss(w: IncidentWave, z: Coupling, theta: float) -> com
     Isotropic by construction: f = -(1/sqrt(8 pi)) / (z^{-1} + i/4) at every
     admissible angle.  Both extraction paths (transmission-side A+ and
     reflection-side B- background, the delta beam removed symbolically) are
-    evaluated and must agree before the value is returned.
+    evaluated and must agree to 1e-14 max(1, |c'|, S) before the value is
+    returned, with S from ``_residual_scale(z, c')``.  The guard bounds
+    rounding in the smear that yields A+; it does not check the
+    transmission-side value against the closed form, which it returns.
     """
     if z.kind != FINITE:
         raise ValidationError("the singularity-free amplitude takes a finite coupling")
@@ -262,7 +277,7 @@ def scattering_amplitude_dfss(w: IncidentWave, z: Coupling, theta: float) -> com
     f_transmission = -1j * sol.a_plus.background / SQRT_2PI
     f_reflection = -1j * sol.b_minus.background / SQRT_2PI
     f = _closed_form_amplitude(z.value)
-    tol = 1e-14 * max(1.0, abs(f))
+    tol = 1e-14 * _residual_scale(z.value, sol.c_prime)
     if abs(f_transmission - f_reflection) > tol or abs(f_reflection - f) > tol:
         raise PointScatterError("extraction paths for the amplitude disagree")
     return f

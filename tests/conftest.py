@@ -1,8 +1,17 @@
 import os
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import settings
+
+# Hypothesis imports this module lazily to print a falsifying example, and the
+# import (via libcst) raises a mypy_extensions DeprecationWarning, which the
+# suite's "error" filter turns into an INTERNALERROR that hides the example.
+# Loading it here, under a local filter, leaves the suite's filters as they are.
+with warnings.catch_warnings():
+    warnings.simplefilter("ignore", DeprecationWarning)
+    import hypothesis.extra._patching  # noqa: F401
 
 SEED = int(os.environ.get("POINTSCATTER_SEED", "20260808"))
 

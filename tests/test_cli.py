@@ -12,9 +12,11 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.special import hankel1
 
 from pointscatter import cli, fields, transfer
 from pointscatter.amplitudes import IncidentWave
+from pointscatter.singfree import FamilyParams
 from pointscatter.transfer import Coupling
 
 THETA0 = "3.141592653589793"
@@ -153,6 +155,53 @@ class TestFamilyCommand:
         row = next(csv.DictReader(out.splitlines()))
         assert float(row["re_f_family"]) == 0.0
         assert float(row["im_f_family"]) == 0.0
+
+
+class TestStrongCoupling:
+    """Valid couplings far above 1.  The solve and extraction guards bound
+    rounding relative to the terms the smear cancels, which grow like |z|,
+    so every command completes and reports the closed-form amplitude."""
+
+    @staticmethod
+    def closed_form(z):
+        return (-1.0 / math.sqrt(8.0 * math.pi)) / (1.0 / z + 0.25j)
+
+    @staticmethod
+    def amplitudes(rows, re, im):
+        return [complex(float(row[re]), float(row[im])) for row in rows]
+
+    # the last |z| overflows a float, though both its parts are finite
+    STRONG = [1e3, -1e4, 1e5, 1e10, 1e3j, complex(sys.float_info.max, sys.float_info.max)]
+
+    @pytest.mark.parametrize("z", STRONG)
+    def test_amplitude_and_family(self, z, capsys):
+        f = self.closed_form(z)
+        flag = f"--z={z.real!r},{z.imag!r}"
+        code, out, err = run(["amplitude", flag], capsys)
+        assert (code, err) == (0, "")
+        rows = list(csv.DictReader(out.splitlines()))
+        got = (self.amplitudes(rows, "re_f_dfss", "im_f_dfss")
+               + self.amplitudes(rows, "re_f_renormalized", "im_f_renormalized"))
+        code, out, err = run(["family", flag, "--lambda=2,10,100,1e6"], capsys)
+        assert (code, err) == (0, "")
+        got += self.amplitudes(csv.DictReader(out.splitlines()), "re_f_absorbed", "im_f_absorbed")
+        assert len(got) == 20
+        assert all(abs(g - f) <= 1e-12 * abs(f) for g in got)
+
+    @pytest.mark.parametrize("z", STRONG)
+    def test_field(self, z, capsys):
+        # scattered part psi - incident = (c'/4pi) H0(k r), c' = i sqrt(2 pi) f
+        w = IncidentWave(1.0, math.pi)
+        code, out, err = run(["field", f"--z={z.real!r},{z.imag!r}", "--format=json",
+                              "--grid=0.5,0.54,3,-0.3,-0.26,3"], capsys)
+        assert (code, err) == (0, "")
+        f = self.closed_form(z)
+        for row in json.loads(out)["rows"]:
+            x, y = row["x"], row["y"]
+            incident = np.exp(1j * (-w.varpi0 * x + w.p0 * y)) / (2.0 * math.pi)
+            scattered = complex(row["re_psi"], row["im_psi"]) - incident
+            c_prime = scattered * 4.0 * math.pi / hankel1(0, math.hypot(x, y))
+            assert abs(c_prime / (1j * math.sqrt(2.0 * math.pi)) - f) <= 1e-12 * abs(f)
 
 
 class TestFieldCommand:
@@ -317,13 +366,20 @@ print(json.dumps([codes, [m for m in ("scipy.special", "scipy.integrate")
         assert self._run([["verify"]]) == [[0], ["scipy.special", "scipy.integrate"]]
 
 
-def _reference_field_payloads(k, theta0, z, grid_axes, fmt):
-    """``field --far-field`` rendered cell by cell: csv.writer over
-    f"{v:.15g}", scalar abs(psi) ** 2 and one field_values_at call per
-    far-field point.  Independent of the CLI's vectorized rendering."""
+def _reference_field_payloads(k, theta0, source, grid_axes, fmt):
+    """``field`` rendered cell by cell: csv.writer over f"{v:.15g}", scalar
+    abs(psi) ** 2 and one field_values_at call per far-field point.
+    Independent of the CLI's vectorized rendering.  A coupling ``source``
+    gives the total field and the far-field table (``--far-field``); a
+    FamilyParams gives psi0 alone (``--psi0-only``)."""
     w = IncidentWave(k, theta0)
-    coupling = Coupling.finite(z)
-    grid = fields.total_field(w, coupling, fields.GridSpec(*grid_axes))
+    spec = fields.GridSpec(*grid_axes)
+    psi0_only = isinstance(source, FamilyParams)
+    if psi0_only:
+        grid = fields.psi0_field(source, k, spec)
+    else:
+        coupling = Coupling.finite(source)
+        grid = fields.total_field(w, coupling, spec)
     current = fields.current_density(grid, k=k)
     header = ["x", "y", "re_psi", "im_psi", "abs2_psi", "jx", "jy", "mask"]
     rows = []
@@ -333,31 +389,33 @@ def _reference_field_payloads(k, theta0, z, grid_axes, fmt):
             rows.append([float(xv), float(yv), psi.real, psi.imag, abs(psi) ** 2,
                          float(current.jx[i, j]), float(current.jy[i, j]),
                          float(grid.excluded_mask[i, j])])
-    c_prime = transfer.solve_fundamental(w, coupling).c_prime
-    f = transfer._closed_form_amplitude(coupling.value)
-    far_header = ["kr", "theta", "re_psi", "im_psi", "re_psi_asymptotic",
-                  "im_psi_asymptotic", "abs_residual", "relative_residual"]
-    far_rows = []
-    for kr in cli.FAR_FIELD_KR:
-        r = kr / w.k
-        scale = abs(f) / (2.0 * math.pi * math.sqrt(kr))
-        for j in range(cli.FAR_FIELD_NTHETA):
-            theta = -math.pi + (j + 0.5) * 2.0 * math.pi / cli.FAR_FIELD_NTHETA
-            xv, yv = r * math.cos(theta), r * math.sin(theta)
-            psi = complex(fields.field_values_at(w, c_prime, [xv], [yv])[0])
-            scattered = np.sqrt(1j / kr) * np.exp(1j * kr) * f / (2.0 * math.pi)
-            incident = np.exp(1j * (-w.varpi0 * xv + w.p0 * yv)) / (2.0 * math.pi)
-            asym = complex(incident + scattered)
-            far_rows.append([kr, theta, psi.real, psi.imag, asym.real, asym.imag,
-                             abs(psi - asym), abs(psi - asym) / scale])
+    tables = [("rows", header, rows)]
+    if not psi0_only:
+        c_prime = transfer.solve_fundamental(w, coupling).c_prime
+        f = transfer._closed_form_amplitude(coupling.value)
+        far_header = ["kr", "theta", "re_psi", "im_psi", "re_psi_asymptotic",
+                      "im_psi_asymptotic", "abs_residual", "relative_residual"]
+        far_rows = []
+        for kr in cli.FAR_FIELD_KR:
+            r = kr / w.k
+            scale = abs(f) / (2.0 * math.pi * math.sqrt(kr))
+            for j in range(cli.FAR_FIELD_NTHETA):
+                theta = -math.pi + (j + 0.5) * 2.0 * math.pi / cli.FAR_FIELD_NTHETA
+                xv, yv = r * math.cos(theta), r * math.sin(theta)
+                psi = complex(fields.field_values_at(w, c_prime, [xv], [yv])[0])
+                scattered = np.sqrt(1j / kr) * np.exp(1j * kr) * f / (2.0 * math.pi)
+                incident = np.exp(1j * (-w.varpi0 * xv + w.p0 * yv)) / (2.0 * math.pi)
+                asym = complex(incident + scattered)
+                far_rows.append([kr, theta, psi.real, psi.imag, asym.real, asym.imag,
+                                 abs(psi - asym), abs(psi - asym) / scale])
+        tables.append(("far_field", far_header, far_rows))
 
     if fmt == "csv":
-        return [_reference_csv_bytes(header, rows), _reference_csv_bytes(far_header, far_rows)]
+        return [_reference_csv_bytes(head, table) for _, head, table in tables]
     report = {"command": "field",
               "parameters": {"k": _json_value(k), "theta0": _json_value(theta0),
-                             "psi0_only": False}}
-    return [_reference_json_bytes(report, [("rows", header, rows),
-                                           ("far_field", far_header, far_rows)])]
+                             "psi0_only": psi0_only}}
+    return [_reference_json_bytes(report, tables)]
 
 
 def _reference_amplitude_bytes(k, theta0, z, n, fmt):
@@ -401,16 +459,28 @@ class TestFieldBytesAgainstCellReference:
     @pytest.mark.parametrize("k, theta0, z, grid", [
         (1.0, math.pi, 1 + 0j, (-0.5, 0.5, 51, -0.5, 0.5, 51)),
         (0.8, 2.5, 0.7 - 1.3j, (11.5, 12.5, 51, -4.25, -3.25, 51)),
+        # non-square grids: an nx/ny mix-up in the row order shows here
+        (1.0, math.pi, 2 + 0.5j, (0.1, 0.12, 2, -0.3, -0.18, 7)),
+        # node (x[18], y[0]) = (0, 0) sits on the scatterer and is masked
+        (1.3, 3.5, -3 + 0j, (-0.27, 0.27, 37, 0.0, 0.06, 5)),
+        # edge weights in place of a coupling: --psi0-only, no far field
+        (0.9, math.pi, FamilyParams(1 - 0.5j, 0.25 + 2j), (0.0, 0.16, 9, 0.5, 0.56, 4)),
     ])
     def test_field_and_far_field_bytes(self, k, theta0, z, grid, fmt, tmp_path, capsys):
         out_path = tmp_path / f"field.{fmt}"
-        code, _, _ = run(["field", f"--k={k!r}", f"--theta0={theta0!r}",
-                          f"--z={z.real!r},{z.imag!r}", "--grid=" + ",".join(map(str, grid)),
-                          f"--format={fmt}", "--far-field", f"--out={out_path}"], capsys)
+        if isinstance(z, FamilyParams):
+            source = ["--psi0-only", f"--b-plus={z.b_plus.real!r},{z.b_plus.imag!r}",
+                      f"--b-minus={z.b_minus.real!r},{z.b_minus.imag!r}"]
+        else:
+            source = [f"--z={z.real!r},{z.imag!r}", "--far-field"]
+        code, _, _ = run(["field", f"--k={k!r}", f"--theta0={theta0!r}", *source,
+                          "--grid=" + ",".join(map(str, grid)), f"--format={fmt}",
+                          f"--out={out_path}"], capsys)
         assert code == 0
         written = [out_path.read_bytes()]
-        if fmt == "csv":
-            written.append((tmp_path / f"field.{fmt}.farfield.csv").read_bytes())
+        far_path = tmp_path / f"field.{fmt}.farfield.csv"
+        if far_path.exists():
+            written.append(far_path.read_bytes())
         assert written == _reference_field_payloads(k, theta0, z, grid, fmt)
 
 
@@ -455,6 +525,62 @@ class TestJsonTableBytes:
     def test_matches_dict_reference(self, first, second):
         tables = [("rows", *first), ("far_field", *second)]
         assert cli._json_bytes(self.REPORT, tables) == _reference_json_bytes(self.REPORT, tables)
+
+
+_CELLS = st.one_of(
+    st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, -2.5e-320,
+                     3.0, -7.0, 2.0 ** 53, 1e15, 1e16]),
+    st.floats())
+
+
+@st.composite
+def _few_valued_table(draw):
+    """(header, rows, few, full): a table with some columns given as
+    (values, index) in ``few`` and its dense cells in ``rows``, and the same
+    table fully dense as ``full``."""
+    header = draw(st.lists(st.text(st.one_of(st.sampled_from("%s.g"), st.characters(codec="utf-8")),
+                                   max_size=4), min_size=1, max_size=5, unique=True))
+    n = draw(st.integers(0, 5))
+    full = [[0.0] * len(header) for _ in range(n)]
+    few, dense = {}, []
+    for col in range(len(header)):
+        if draw(st.booleans()):
+            values = draw(st.lists(_CELLS, min_size=1, max_size=4))
+            index = draw(st.lists(st.integers(0, len(values) - 1), min_size=n, max_size=n))
+            few[col] = (values, np.array(index, dtype=np.intp))
+            cells = [values[i] for i in index]
+        else:
+            cells = draw(st.lists(_CELLS, min_size=n, max_size=n))
+            dense.append(cells)
+        for row, cell in zip(full, cells):
+            row[col] = cell
+    rows = np.array(dense, dtype=float).T.reshape(n, len(dense))
+    return header, rows, few, full
+
+
+class TestFewValuedColumns:
+    """A column given as (values, index) renders exactly as the same column
+    given cell by cell."""
+
+    REPORT = {"command": "t"}
+
+    @settings(max_examples=300)
+    @given(table=_few_valued_table())
+    @example(table=(["%s", "x%%", "%.15g"], np.array([[1e16], [-0.0]]),
+                    {0: ((math.nan, 5e-324), np.array([1, 0])), 2: ((3.0,), np.array([0, 0]))},
+                    [[5e-324, 1e16, 3.0], [math.nan, -0.0, 3.0]]))
+    @example(table=(["%", "y"], np.empty((1, 0)),
+                    {0: ((1e15, -math.inf), np.array([1])), 1: ((0.0, 1.0), np.array([0]))},
+                    [[-math.inf, 0.0]]))
+    @example(table=(["x", "%d"], np.empty((0, 1)), {0: ((1.0,), np.array([], dtype=np.intp))}, []))
+    def test_matches_dense_table(self, table):
+        header, rows, few, full = table
+        plain = "".join(",".join(f"{v:.15g}" for v in row) + "\r\n" for row in full)
+        assert (cli._csv_bytes(header, rows, few) == cli._csv_bytes(header, full)
+                == (",".join(header) + "\r\n" + plain).encode("utf-8"))
+        json_bytes = cli._json_bytes(self.REPORT, [("rows", header, rows, few)])
+        assert (json_bytes == cli._json_bytes(self.REPORT, [("rows", header, full)])
+                == _reference_json_bytes(self.REPORT, [("rows", header, full)]))
 
 
 _EXTREMES = st.one_of(
