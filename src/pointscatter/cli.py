@@ -404,12 +404,18 @@ def cmd_field(args):
     if args.far_field and args.out is None and args.format == "csv":
         raise ValidationError("--far-field with csv output requires --out")
     if args.psi0_only:
-        grid = fields.psi0_field(FamilyParams(args.b_plus, args.b_minus),
-                                 w.k, args.grid)
+        params = FamilyParams(args.b_plus, args.b_minus)
+        try:
+            with np.errstate(over="raise"):
+                grid = fields.psi0_field(params, w.k, args.grid)
+                header, rows, few = _field_rows(grid, fields.current_density(grid, k=w.k))
+        except FloatingPointError:
+            raise ValidationError(
+                f"psi0 of edge weights b+ = {params.b_plus!r}, b- = {params.b_minus!r} "
+                "overflows its values, |psi|^2 or the current on this grid") from None
     else:
         grid = fields.total_field(w, Coupling.finite(args.z), args.grid)
-    current = fields.current_density(grid, k=w.k)
-    header, rows, few = _field_rows(grid, current)
+        header, rows, few = _field_rows(grid, fields.current_density(grid, k=w.k))
 
     far = None
     if args.far_field:

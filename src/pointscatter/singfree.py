@@ -25,7 +25,11 @@ from .amplitudes import Atom, GeneralizedAmplitude, FULL_LINE, IncidentWave, pro
 from .errors import PoleError, PointScatterError, ValidationError
 from .kernel import FOUR_PI, TWO_PI, CutoffSpec, Dispersion, regularized_h0_at_zero, varpi
 from .specfun import EULER_GAMMA, hankel1_0
-from .transfer import Coupling, FINITE, SQRT_8PI, _amplitude_pole_denominator, _residual_scale
+from .transfer import Coupling, FINITE, _amplitude, _amplitude_pole_denominator, _residual_scale
+
+
+def _finite(v: complex) -> bool:
+    return math.isfinite(v.real) and math.isfinite(v.imag)
 
 
 @dataclass(frozen=True)
@@ -38,7 +42,7 @@ class FamilyParams:
     def __post_init__(self):
         for name in ("b_plus", "b_minus"):
             v = complex(getattr(self, name))
-            if not (math.isfinite(v.real) and math.isfinite(v.imag)):
+            if not _finite(v):
                 raise ValidationError(f"{name} must be finite, got {v!r}")
             object.__setattr__(self, name, v)
 
@@ -100,6 +104,12 @@ def _family_denominator(z: Coupling, lam: float, d: Dispersion) -> complex:
     return den
 
 
+def _overflow(params: FamilyParams, what: str, lam: float) -> ValidationError:
+    return ValidationError(
+        f"edge weights b+ = {params.b_plus!r}, b- = {params.b_minus!r} "
+        f"overflow {what} at cutoff {lam!r}")
+
+
 def family_solution(w: IncidentWave, z: Coupling, params: FamilyParams,
                     lam: float) -> tuple[FRepresentation, complex]:
     """Member of the solution family at cutoff lam.
@@ -107,18 +117,28 @@ def family_solution(w: IncidentWave, z: Coupling, params: FamilyParams,
     c = -i (1 + b- + b+) / (2 (z^{-1} + (i/4) H0_reg)); the returned F is
     verified to satisfy its own fixed-point equation before use, to 1e-12
     times ``transfer._residual_scale`` of the smeared background c H0_reg.
+    Edge weights so large that c or that check leaves the float range are a
+    ValidationError.
     """
     d = w.dispersion()
     den = _family_denominator(z, lam, d)
     c = -1j * (1.0 + params.b_minus + params.b_plus) / (2.0 * den)
+    if not _finite(c):
+        raise _overflow(params, "the family constant", lam)
     f_repr = FRepresentation(w.p0, w.k, params.b_plus, params.b_minus, c)
 
     c_check = (-1j * z.value / FOUR_PI) * f_repr.integrate_plain(lam, d)
-    # the background c/varpi integrates to pi c H0_reg on the cutoff line
-    bound = 1e-12 * _residual_scale(z.value, c * regularized_h0_at_zero(CutoffSpec(lam), d))
-    if abs(c_check - c) > bound:
+    try:
+        residual = abs(c_check - c)
+        # the background c/varpi integrates to pi c H0_reg on the cutoff line
+        bound = 1e-12 * _residual_scale(z.value, c * regularized_h0_at_zero(CutoffSpec(lam), d))
+    except OverflowError:  # a modulus beyond the float range
+        raise _overflow(params, "the fixed-point check", lam) from None
+    if residual > bound:
+        if not _finite(c_check):
+            raise _overflow(params, "the fixed-point check", lam)
         raise PointScatterError(
-            f"family fixed-point residual {abs(c_check - c):.3e} exceeds {bound:.3e}")
+            f"family fixed-point residual {residual:.3e} exceeds {bound:.3e}")
     return f_repr, c
 
 
@@ -133,7 +153,10 @@ def family_amplitude(w: IncidentWave, z: Coupling, params: FamilyParams,
     singularity-free amplitude exactly at every finite cutoff.
     """
     den = _family_denominator(z, lam, w.dispersion())
-    return (-1.0 / SQRT_8PI) * (1.0 + params.b_minus + params.b_plus) / den
+    f = _amplitude(den, 1.0 + params.b_minus + params.b_plus)
+    if not _finite(f):
+        raise _overflow(params, "the family amplitude", lam)
+    return f
 
 
 def absorption_condition(z: Coupling, lam: float, d: Dispersion) -> complex:

@@ -102,8 +102,14 @@ def _amplitude_pole_denominator(z: complex) -> complex:
     return den
 
 
+def _amplitude(den: complex, weight: complex = 1.0) -> complex:
+    """f = -(1/sqrt(8 pi)) weight / den, evaluated left to right: the one
+    amplitude formula behind both routes and the solution family."""
+    return (-1.0 / SQRT_8PI) * weight / den
+
+
 def _closed_form_amplitude(z: complex) -> complex:
-    return (-1.0 / SQRT_8PI) / _amplitude_pole_denominator(z)
+    return _amplitude(_amplitude_pole_denominator(z))
 
 
 @dataclass(frozen=True)
@@ -342,4 +348,4 @@ def bare_amplitude_with_cutoff(w: IncidentWave, z_bare: complex, lam: float) -> 
     den = 1.0 / z_bare - g0
     if den == 0:
         raise PoleError("bare coupling inverse equals G_lam(0): amplitude pole")
-    return (-1.0 / SQRT_8PI) / den
+    return _amplitude(den)

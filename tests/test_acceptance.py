@@ -8,7 +8,7 @@ per-criterion lines; ``pointscatter verify`` prints the same information.
 
 import pytest
 
-from pointscatter import cli, verify
+from pointscatter import cli, kernel, verify
 
 CRITERIA = {
     1: ("route agreement dfss == renormalized", ["1-route-agreement"]),
@@ -59,3 +59,19 @@ def test_acceptance_11_file_level_determinism(tmp_path):
             assert cli.main(argv + ["--out", str(path)]) == 0
             payloads.add(path.read_bytes())
         assert len(payloads) == 1, f"nondeterministic output for {argv[0]}"
+
+
+def test_run_all_order_and_shared_quadratures(monkeypatch):
+    # 3a and 3b share one quadrature of G_lam(0) per cutoff
+    calls = []
+    quadrature = kernel.green_cutoff_quadrature
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return quadrature(*args, **kwargs)
+
+    monkeypatch.setattr(kernel, "green_cutoff_quadrature", counted)
+    names = [r.name for r in verify.run_all()]
+    assert names == [name for _, (_, group) in sorted(CRITERIA.items()) for name in group]
+    assert len(names) == 19
+    assert len(calls) == 3

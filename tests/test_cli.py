@@ -14,7 +14,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.special import hankel1
 
-from pointscatter import cli, fields, transfer
+from pointscatter import cli, fields, kernel, transfer
+from pointscatter.errors import GridCoarseWarning
 from pointscatter.amplitudes import IncidentWave
 from pointscatter.singfree import FamilyParams
 from pointscatter.transfer import Coupling
@@ -202,6 +203,80 @@ class TestStrongCoupling:
             scattered = complex(row["re_psi"], row["im_psi"]) - incident
             c_prime = scattered * 4.0 * math.pi / hankel1(0, math.hypot(x, y))
             assert abs(c_prime / (1j * math.sqrt(2.0 * math.pi)) - f) <= 1e-12 * abs(f)
+
+
+class TestEdgeWeightOverflow:
+    """Edge weights whose family constant, fixed-point check, psi0, |psi0|^2
+    or current leaves the float range are a ValidationError, never a silent
+    inf/nan or an untyped error; the last finite inputs print as before."""
+
+    ERROR = f"{cli.ERROR_PREFIX} ValidationError: "
+
+    def assert_rejected(self, argv, capsys):
+        code, out, err = run(argv, capsys)
+        assert (code, out) == (1, "")
+        assert err.startswith(self.ERROR) and err.count("\n") == 1, err
+
+    def test_family_constant_overflow(self, capsys):
+        self.assert_rejected(["family", "--b-plus=1.7e308,1.7e308"], capsys)
+
+    def test_family_fixed_point_check_overflow(self, capsys):
+        self.assert_rejected(["family", "--b-plus=1e308,0"], capsys)
+
+    def test_psi0_current_overflow(self, capsys):
+        with pytest.warns(GridCoarseWarning):
+            self.assert_rejected(["field", "--psi0-only", "--b-plus=1e300,0",
+                                  "--grid=-0.1,0.1,5,-0.1,0.1,5"], capsys)
+
+    def test_largest_finite_family_unchanged(self, capsys):
+        code, out, err = run(["family", "--b-plus=2e307,2e307"], capsys)
+        assert (code, err) == (0, "")
+        rows = list(csv.DictReader(out.splitlines()))
+        assert len(rows) == 3
+        assert all(math.isfinite(float(v)) for row in rows for v in row.values())
+        # lam = 2: c = -i (1 + b) / (2 (1/z + (i/4) H0_reg)) at z = 1
+        h_reg = kernel.regularized_h0_at_zero(kernel.CutoffSpec(2.0), kernel.Dispersion(1.0))
+        c = -1j * (1.0 + complex(2e307, 2e307)) / (2.0 * (1.0 + 0.25j * h_reg))
+        assert (rows[0]["re_c"], rows[0]["im_c"]) == (f"{c.real:.15g}", f"{c.imag:.15g}")
+
+    @staticmethod
+    def finite_table(command, out):
+        rows = list(csv.DictReader(out.splitlines()))
+        if command == "family":
+            return len(rows) == 3 and all(math.isfinite(float(v))
+                                          for row in rows for v in row.values())
+        # a 4x4 psi0 grid: the current is NaN on the rim and finite inside
+        for row in rows:
+            x, y = float(row["x"]), float(row["y"])
+            if not all(math.isfinite(float(row[c])) for c in ("re_psi", "im_psi", "abs2_psi")):
+                return False
+            check = math.isnan if x in (0.0, 0.03) or y in (0.0, 0.03) else math.isfinite
+            if not (check(float(row["jx"])) and check(float(row["jy"]))):
+                return False
+        return len(rows) == 16
+
+    @pytest.mark.parametrize("command", ["family", "field"])
+    def test_sweep_up_to_dbl_max(self, command, capsys):
+        magnitudes = [10.0 ** e for e in range(150, 309, 4)] + [
+            1e154, 6e154, 9e154, 2.8e307, 2.9e307, 1.5e308, sys.float_info.max]
+        outcomes = set()
+        for m in magnitudes:
+            for phase in (0.0, 0.25 * math.pi, 0.5 * math.pi, 2.5, math.pi):
+                b = m * complex(math.cos(phase), math.sin(phase))
+                flag = f"{b.real!r},{b.imag!r}"
+                for weights in ([f"--b-plus={flag}"], [f"--b-minus={flag}"],
+                                [f"--b-plus={flag}", f"--b-minus={flag}"]):
+                    argv = [command, *weights]
+                    if command == "field":
+                        argv += ["--psi0-only", "--grid=0,0.03,4,0,0.03,4"]
+                    code, out, err = run(argv, capsys)
+                    if code == 0:
+                        assert err == "" and self.finite_table(command, out), argv
+                    else:
+                        assert code == 1 and out == "", argv
+                        assert err.startswith(self.ERROR) and err.count("\n") == 1, argv
+                    outcomes.add(code)
+        assert outcomes == {0, 1}
 
 
 class TestFieldCommand:

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from pointscatter import specfun
 from pointscatter.errors import DomainError
-from pointscatter.verify import oracle_j0, oracle_j0_zero, oracle_y0
+from pointscatter.verify import oracle_j0, oracle_j0_y0, oracle_j0_zero, oracle_y0
 
 # frozen reference values, computed from the decimal series oracles
 J0_AT_1 = 0.7651976865579666
@@ -21,6 +21,35 @@ H0_AT_100 = complex(0.019985850304223122, -0.07724431336508315)
 ORACLE_GRID = [1e-6, 1e-4, 0.01, 0.1, 0.5, 1.0, 2.0, 2.404825557695773,
                3.7, 5.0, 8.0, 10.0, 11.9, 12.0, 12.1, 13.0, 20.0, 50.0, 100.0,
                200.0, 500.0, 1000.0]
+
+# float(oracle_j0(x)), float(oracle_y0(x)) as recorded from the two separate
+# series passes, on ORACLE_GRID and at the first two zeros of Y0
+ORACLE_REFERENCE = {
+    1e-06: (0.99999999999975, -8.869031481659444),
+    0.0001: (0.9999999975, -5.937289069709337),
+    0.01: (0.9999750001562495, -3.005455637083646),
+    0.1: (0.99750156206604, -1.5342386513503667),
+    0.5: (0.9384698072408129, -0.44451873350670656),
+    1.0: (0.7651976865579666, 0.08825696421567696),
+    2.0: (0.22389077914123567, 0.5103756726497451),
+    2.404825557695773: (-6.10876525973673e-17, 0.509924383448479),
+    3.7: (-0.39923020337119114, 0.1060743153203541),
+    5.0: (-0.1775967713143383, -0.30851762524903376),
+    8.0: (0.1716508071375539, 0.22352148938756622),
+    10.0: (-0.24593576445134835, 0.055671167283599395),
+    11.9: (0.025049441699589645, -0.22983321394337505),
+    12.0: (0.047689310796833535, -0.22523731263436145),
+    12.1: (0.06966677360680731, -0.2184383805509255),
+    13.0: (0.20692610237706782, -0.07820786452787591),
+    20.0: (0.16702466434058316, 0.06264059680938383),
+    50.0: (0.055812327669251816, -0.09806499547007708),
+    100.0: (0.019985850304223122, -0.07724431336508315),
+    200.0: (-0.015437439930565091, -0.05426577524981791),
+    500.0: (-0.034100556880732, 0.010506708739831373),
+    1000.0: (0.024786686152420176, 0.0047159179776228135),
+    0.8935769662791675: (0.8101238593535642, -2.3389279284062102e-17),
+    3.9576784193148578: (-0.39960203885530415, -4.3331064642935194e-17),
+}
 
 
 class TestBesselJ0:
@@ -77,6 +106,18 @@ class TestBesselY0:
     def test_domain_errors(self, bad):
         with pytest.raises(DomainError):
             specfun.bessel_y0(bad)
+
+
+class TestOracleOnePass:
+    def test_reference_covers_grid(self):
+        assert set(ORACLE_GRID) < set(ORACLE_REFERENCE)
+
+    @pytest.mark.parametrize("x", sorted(ORACLE_REFERENCE))
+    def test_reproduces_recorded_values(self, x):
+        j0, y0 = oracle_j0_y0(x)
+        assert (float(j0), float(y0)) == ORACLE_REFERENCE[x]
+        assert float(j0) == float(oracle_j0(x))
+        assert oracle_y0(x) == y0
 
 
 class TestHankel:
