@@ -12,9 +12,10 @@ Values are immutable; all operations return new instances.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
-from .errors import OnShellAtomError, SupportMismatchError, ValidationError
+from .errors import (OnShellAtomError, SupportMismatchError, ValidationError, finite_real,
+                     require_cutoff_above_k)
 from .kernel import CutoffSpec, Dispersion, regularized_h0_at_zero, varpi
 
 FULL_LINE = "full-line"
@@ -44,8 +45,7 @@ class IntegrationDomain:
             raise ValidationError(
                 f"domain kind must be {BAND!r} or 'cutoff-line', got {self.kind!r}")
         if self.kind == "cutoff-line":
-            if self.lam is None or not (math.isfinite(self.lam) and self.lam > 0):
-                raise ValidationError("cutoff-line domain requires a positive cutoff")
+            object.__setattr__(self, "lam", finite_real("cutoff", self.lam, above=0.0))
         elif self.lam is not None:
             raise ValidationError(f"{self.kind} domain takes no cutoff")
 
@@ -54,7 +54,7 @@ BAND_DOMAIN = IntegrationDomain(BAND)
 
 
 def cutoff_line(lam: float) -> IntegrationDomain:
-    return IntegrationDomain("cutoff-line", float(lam))
+    return IntegrationDomain("cutoff-line", lam)
 
 
 @dataclass(frozen=True)
@@ -134,9 +134,7 @@ def integrate_inverse_varpi(a: GeneralizedAmplitude, domain: IntegrationDomain,
     """
     k = d.k
     if domain.kind == "cutoff-line":
-        if not domain.lam > k:
-            raise ValidationError(
-                f"cutoff {domain.lam!r} must exceed the wavenumber {k!r}")
+        require_cutoff_above_k(domain.lam, k)
         if a.support == BAND:
             bg_integral = complex(math.pi, 0.0)
             p_max = k
@@ -171,26 +169,24 @@ class IncidentWave:
 
     k: float
     theta0: float
+    _dispersion: Dispersion = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if not (isinstance(self.k, (int, float)) and not isinstance(self.k, bool)
-                and math.isfinite(self.k) and self.k > 0):
-            raise ValidationError(f"wavenumber must be positive, got {self.k!r}")
-        Dispersion(self.k)  # also rejects k below kernel.MIN_WAVENUMBER
-        if not (isinstance(self.theta0, (int, float)) and math.isfinite(self.theta0)):
-            raise ValidationError(f"incidence angle must be finite, got {self.theta0!r}")
-        if not (0.5 * math.pi < self.theta0 < 1.5 * math.pi):
+        d = Dispersion(self.k)
+        theta0 = finite_real("incidence angle", self.theta0)
+        if not (0.5 * math.pi < theta0 < 1.5 * math.pi):
             raise ValidationError(
-                f"right-incidence requires theta0 in (pi/2, 3pi/2), got {self.theta0!r}")
-        object.__setattr__(self, "k", float(self.k))
-        object.__setattr__(self, "theta0", float(self.theta0))
+                f"right-incidence requires theta0 in (pi/2, 3pi/2), got {theta0!r}")
+        object.__setattr__(self, "k", d.k)
+        object.__setattr__(self, "theta0", theta0)
+        object.__setattr__(self, "_dispersion", d)
 
     @property
     def p0(self) -> float:
         return self.k * math.sin(self.theta0)
 
     def dispersion(self) -> Dispersion:
-        return Dispersion(self.k)
+        return self._dispersion
 
     @property
     def varpi0(self) -> float:

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import fields, kernel, singfree, transfer, verify
 from .amplitudes import IncidentWave
-from .errors import PointScatterError, ValidationError
+from .errors import PointScatterError, ValidationError, finite_real, require_cutoff_above_k
 from .kernel import CutoffSpec
 from .singfree import FamilyParams
 from .transfer import Coupling
@@ -280,9 +280,7 @@ def _theta_values(w: IncidentWave, n: int) -> list[float]:
 def _increasing_cutoffs(lams, k: float) -> list[float]:
     if any(b <= a for a, b in zip(lams, lams[1:])):
         raise ValidationError("cutoff list must be strictly increasing")
-    if any(not lam > k for lam in lams):
-        raise ValidationError("all cutoffs must exceed the wavenumber")
-    return [float(lam) for lam in lams]
+    return [require_cutoff_above_k(lam, k) for lam in lams]
 
 
 # ---------------------------------------------------------------------------
@@ -294,7 +292,7 @@ def cmd_amplitude(args):
     z_tilde = Coupling.renormalized(args.z, w.k)
     thetas = _theta_values(w, args.theta_grid)
     # both amplitudes are isotropic: one solve serves every angle
-    f1 = transfer.scattering_amplitude_dfss(w, z, thetas[0])
+    f1 = transfer.scattering_amplitude_dfss(w, z)
     f2 = transfer.scattering_amplitude_renormalized(w, z_tilde)
     header = ["theta", "re_f_dfss", "im_f_dfss", "abs2_f_dfss",
               "re_f_renormalized", "im_f_renormalized", "abs2_f_renormalized",
@@ -314,9 +312,7 @@ def cmd_amplitude(args):
 def cmd_flow(args):
     w = _incident(args)
     d = w.dispersion()
-    mu = w.k if args.mu is None else float(args.mu)
-    if not (math.isfinite(mu) and mu > 0):
-        raise ValidationError("--mu must be positive")
+    mu = w.k if args.mu is None else finite_real("--mu", args.mu, above=0.0)
     lams = _increasing_cutoffs(args.lam, w.k)
     z_tilde = args.z
     f_ren = transfer.scattering_amplitude_renormalized(
@@ -354,8 +350,7 @@ def cmd_family(args):
     z = Coupling.finite(args.z)
     lams = _increasing_cutoffs(args.lam, w.k)
     params = FamilyParams(args.b_plus, args.b_minus)
-    f_dfss = transfer.scattering_amplitude_dfss(
-        w, z, _theta_values(w, 8)[0])
+    f_dfss = transfer.scattering_amplitude_dfss(w, z)
     header = ["lambda", "lambda_over_k", "re_h0_regularized", "im_h0_regularized",
               "re_c", "im_c", "re_f_family", "im_f_family",
               "re_b_sum_absorption", "im_b_sum_absorption",
@@ -405,24 +400,26 @@ def cmd_field(args):
         raise ValidationError("--far-field with csv output requires --out")
     if args.psi0_only:
         params = FamilyParams(args.b_plus, args.b_minus)
-        try:
-            with np.errstate(over="raise"):
-                grid = fields.psi0_field(params, w.k, args.grid)
-                header, rows, few = _field_rows(grid, fields.current_density(grid, k=w.k))
-        except FloatingPointError:
-            raise ValidationError(
-                f"psi0 of edge weights b+ = {params.b_plus!r}, b- = {params.b_minus!r} "
-                "overflows its values, |psi|^2 or the current on this grid") from None
+        what = f"psi0 of edge weights b+ = {params.b_plus!r}, b- = {params.b_minus!r}"
     else:
-        grid = fields.total_field(w, Coupling.finite(args.z), args.grid)
-        header, rows, few = _field_rows(grid, fields.current_density(grid, k=w.k))
+        z = Coupling.finite(args.z)
+        what = f"the total field at k = {w.k!r}, theta0 = {w.theta0!r}"
+    try:
+        # one overflow rule for both fields: a value that leaves the float
+        # range, or turns into inf - inf or inf * 0, is an error, not a NaN cell
+        with np.errstate(over="raise", invalid="raise"):
+            grid = (fields.psi0_field(params, w.k, args.grid) if args.psi0_only
+                    else fields.total_field(w, z, args.grid))
+            header, rows, few = _field_rows(grid, fields.current_density(grid, k=w.k))
+    except FloatingPointError:
+        raise ValidationError(
+            f"{what} overflows its values, |psi|^2 or the current on this grid") from None
 
     far = None
     if args.far_field:
         far_header = ["kr", "theta", "re_psi", "im_psi", "re_psi_asymptotic",
                       "im_psi_asymptotic", "abs_residual", "relative_residual"]
-        samples = fields.far_field_samples(w, Coupling.finite(args.z),
-                                           FAR_FIELD_KR, FAR_FIELD_NTHETA)
+        samples = fields.far_field_samples(w, z, FAR_FIELD_KR, FAR_FIELD_NTHETA)
         far = (far_header, np.concatenate([np.column_stack((
             np.full(FAR_FIELD_NTHETA, s.kr), s.theta, s.psi.real, s.psi.imag,
             s.psi_asymptotic.real, s.psi_asymptotic.imag, s.residual,

@@ -2,8 +2,11 @@
 
 Divergences of the underlying scattering problem are deliberately surfaced as
 distinct exception types (pole of the amplitude, on-shell Dirac atom, forward
-delta beam) rather than as floating-point garbage.
+delta beam) rather than as floating-point garbage.  The argument rules that
+every module shares live here too, so each is written once.
 """
+
+import math
 
 
 class PointScatterError(Exception):
@@ -12,6 +15,30 @@ class PointScatterError(Exception):
 
 class ValidationError(PointScatterError, ValueError):
     """A precondition on arguments was violated."""
+
+
+def finite_real(name: str, value, above: float | None = None) -> float:
+    """``value`` as a float if it is an int or float (not a bool), finite and,
+    given ``above``, greater than it; otherwise a ValidationError naming the
+    parameter and the value."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            v = float(value)
+        except OverflowError:  # an int beyond the float range
+            v = math.inf
+        if math.isfinite(v) and (above is None or v > above):
+            return v
+    bound = "" if above is None else f" above {above!r}"
+    raise ValidationError(f"{name} must be a finite real number{bound}, got {value!r}")
+
+
+def require_cutoff_above_k(lam: float, k: float) -> float:
+    """``lam`` unchanged if it exceeds the wavenumber ``k``: the one
+    "cutoff above k" rule.  Takes floats already validated, such as a built
+    ``CutoffSpec``'s lam or the result of ``finite_real``."""
+    if not lam > k:
+        raise ValidationError(f"cutoff {lam!r} must exceed the wavenumber {k!r}")
+    return lam
 
 
 class DomainError(ValidationError):

@@ -20,7 +20,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .amplitudes import IncidentWave
-from .errors import GridCoarseWarning, ValidationError
+from .errors import GridCoarseWarning, ValidationError, finite_real
 from .kernel import FOUR_PI, TWO_PI
 from .singfree import FamilyParams
 from .specfun import EULER_GAMMA, hankel1_0_array
@@ -48,9 +48,8 @@ class GridSpec:
     ny: int
 
     def __post_init__(self):
-        bounds = (self.x0, self.x1, self.y0, self.y1)
-        if not all(isinstance(v, numbers.Real) and math.isfinite(v) for v in bounds):
-            raise ValidationError(f"grid bounds must be finite real numbers, got {bounds!r}")
+        for name in ("x0", "x1", "y0", "y1"):
+            finite_real(f"grid bound {name}", getattr(self, name))
         if not (self.x0 < self.x1 and self.y0 < self.y1):
             raise ValidationError("grid bounds must be strictly increasing")
         counts = (self.nx, self.ny)
@@ -142,8 +141,7 @@ def psi0_field(params: FamilyParams, k: float, spec: GridSpec) -> FieldGrid:
     Constant in x by construction (the rows are literally copies), finite
     everywhere, so the mask is empty.
     """
-    if not (math.isfinite(k) and k > 0):
-        raise ValidationError(f"wavenumber must be positive, got {k!r}")
+    k = finite_real("wavenumber", k, above=0.0)
     x, y = spec.axes()
     row = (params.b_plus * np.exp(1j * k * y) + params.b_minus * np.exp(-1j * k * y)) / TWO_PI
     values = np.tile(row, (len(x), 1))
@@ -290,8 +288,6 @@ def far_field_circle_residuals(w: IncidentWave, z: Coupling, kr_values,
 def cross_section(w: IncidentWave, z: Coupling, theta_grid):
     """Differential cross section |f(theta)|^2 per angle; constant for the
     point scatterer, tabulated anyway for the report surface."""
-    thetas = [float(t) for t in theta_grid]
-    for theta in thetas:
-        _validate_scattering_angle(theta, w.theta0)
-    f = scattering_amplitude_dfss(w, z, thetas[0]) if thetas else None
+    thetas = [_validate_scattering_angle(t, w.theta0) for t in theta_grid]
+    f = scattering_amplitude_dfss(w, z) if thetas else None
     return [(theta, abs(f) ** 2) for theta in thetas]

@@ -25,7 +25,8 @@ from typing import NamedTuple
 import numpy as np
 import scipy  # bare package: scipy.integrate loads on first use
 
-from .errors import ConvergenceError, QuadratureError, ValidationError
+from .errors import (ConvergenceError, QuadratureError, ValidationError, finite_real,
+                     require_cutoff_above_k)
 from .specfun import bessel_j0, hankel1_0
 
 TWO_PI = 2.0 * math.pi
@@ -44,13 +45,11 @@ class Dispersion:
     k: float
 
     def __post_init__(self):
-        if not (isinstance(self.k, (int, float)) and not isinstance(self.k, bool)
-                and math.isfinite(self.k) and self.k > 0):
-            raise ValidationError(f"wavenumber must be finite and positive, got {self.k!r}")
-        if self.k * self.k < sys.float_info.min:
+        k = finite_real("wavenumber", self.k, above=0.0)
+        if k * k < sys.float_info.min:
             raise ValidationError(
-                f"wavenumber {self.k!r} is below {MIN_WAVENUMBER!r}, where k*k underflows")
-        object.__setattr__(self, "k", float(self.k))
+                f"wavenumber {k!r} is below {MIN_WAVENUMBER!r}, where k*k underflows")
+        object.__setattr__(self, "k", k)
 
 
 @dataclass(frozen=True)
@@ -62,15 +61,11 @@ class CutoffSpec:
     epsilon: float | None = None
 
     def __post_init__(self):
-        if not (isinstance(self.lam, (int, float)) and not isinstance(self.lam, bool)
-                and math.isfinite(self.lam) and self.lam > 0):
-            raise ValidationError(f"cutoff must be finite and positive, got {self.lam!r}")
-        object.__setattr__(self, "lam", float(self.lam))
+        object.__setattr__(self, "lam", finite_real("cutoff", self.lam, above=0.0))
         if self.epsilon_policy not in (PV_PLUS_DELTA, FINITE_EPSILON):
             raise ValidationError(f"unknown epsilon policy {self.epsilon_policy!r}")
         if self.epsilon_policy == FINITE_EPSILON:
-            if self.epsilon is None or not (math.isfinite(self.epsilon) and self.epsilon > 0):
-                raise ValidationError("finite-epsilon policy requires epsilon > 0")
+            object.__setattr__(self, "epsilon", finite_real("epsilon", self.epsilon, above=0.0))
         elif self.epsilon is not None:
             raise ValidationError("epsilon is only meaningful under the finite-epsilon policy")
 
@@ -95,8 +90,7 @@ def varpi(p: float, d: Dispersion) -> complex:
     Exactly zero on shell (|p| = k), which downstream code relies on for the
     delta(p -+ k) * varpi(p) = 0 product rule.
     """
-    if not (isinstance(p, (int, float)) and math.isfinite(p)):
-        raise ValidationError(f"momentum must be finite, got {p!r}")
+    p = finite_real("momentum", p)
     k = d.k
     ap = abs(p)
     if ap < k:
@@ -108,14 +102,8 @@ def varpi(p: float, d: Dispersion) -> complex:
 
 def green_closed(r: float, d: Dispersion) -> complex:
     """Outgoing Green function -(i/4) H0^(1)(k r) for r > 0."""
-    if not (isinstance(r, (int, float)) and math.isfinite(r) and r > 0):
-        raise ValidationError(f"radius must be positive, got {r!r} (G diverges at r = 0)")
+    r = finite_real("radius", r, above=0.0)  # G diverges at r = 0
     return -0.25j * hankel1_0(d.k * r)
-
-
-def _require_cutoff_above_k(c: CutoffSpec, d: Dispersion):
-    if not c.lam > d.k:
-        raise ValidationError(f"cutoff {c.lam!r} must exceed the wavenumber {d.k!r}")
 
 
 def green_cutoff_zero(c: CutoffSpec, d: Dispersion) -> complex:
@@ -124,7 +112,7 @@ def green_cutoff_zero(c: CutoffSpec, d: Dispersion) -> complex:
     G_lam(0) = -(1/4 pi) ln(lam^2/k^2 - 1) - i/4.  The imaginary part is the
     on-shell delta contribution and is exactly -1/4 for every cutoff.
     """
-    _require_cutoff_above_k(c, d)
+    require_cutoff_above_k(c.lam, d.k)
     ratio = c.lam / d.k
     if not math.isfinite(ratio * ratio):
         raise ValidationError(f"(lam/k)^2 overflows for lam/k = {ratio!r}")
@@ -138,7 +126,7 @@ def regularized_h0_at_zero(c: CutoffSpec, d: Dispersion) -> complex:
     traveling band, the log-divergent imaginary part from the evanescent
     tails.
     """
-    _require_cutoff_above_k(c, d)
+    require_cutoff_above_k(c.lam, d.k)
     return complex(1.0, -(2.0 / math.pi) * math.acosh(c.lam / d.k))
 
 
@@ -183,9 +171,10 @@ def green_cutoff_quadrature(r: float, c: CutoffSpec, d: Dispersion) -> Quadratur
     delta term -(i/4) J0(k r).  Under the finite-epsilon policy the complex
     integrand is integrated as-is for cross-validation.
     """
-    if not (isinstance(r, (int, float)) and math.isfinite(r) and r >= 0):
+    r = finite_real("radius", r)
+    if r < 0:
         raise ValidationError(f"radius must be nonnegative, got {r!r}")
-    _require_cutoff_above_k(c, d)
+    require_cutoff_above_k(c.lam, d.k)
     k, lam = d.k, c.lam
     limit = max(400, int(60 + 2.0 * lam * r))
 
@@ -232,11 +221,11 @@ def momentum_identity_check(x: float, y: float, d: Dispersion,
     integration-by-parts bound folded into the reported error estimate.
     """
     k = d.k
+    x, y = finite_real("x", x), finite_real("y", y)
     r = math.hypot(x, y)
     if k * r < 1e-3:
         raise QuadratureError(f"point too close to the scatterer (k r = {k * r!r} < 1e-3)")
-    if not (math.isfinite(tail_cutoff) and tail_cutoff > 2.0 * k):
-        raise ValidationError(f"tail cutoff must exceed 2k, got {tail_cutoff!r}")
+    tail_cutoff = finite_real("tail cutoff", tail_cutoff, above=2.0 * k)
     ax = abs(x)
 
     def band(phi):
@@ -283,13 +272,10 @@ def scheme_matching_limit(alpha: float, d: Dispersion, r_sequence) -> complex:
     The returned value is Richardson-extrapolated assuming the O(r^2)
     leading correction; the sequence must contract or the call fails.
     """
-    if not (isinstance(alpha, (int, float)) and math.isfinite(alpha) and alpha > 0):
-        raise ValidationError(f"alpha must be positive, got {alpha!r}")
-    radii = [float(r) for r in r_sequence]
+    alpha = finite_real("alpha", alpha, above=0.0)
+    radii = [finite_real("radius", r, above=0.0) for r in r_sequence]
     if len(radii) < 2:
         raise ValidationError("need at least two radii to extrapolate")
-    if any(not (math.isfinite(rr) and rr > 0) for rr in radii):
-        raise ValidationError("radii must be positive and finite")
     for a, b in zip(radii, radii[1:]):
         if not b < a:
             raise ValidationError("radii must be strictly decreasing")

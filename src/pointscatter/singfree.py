@@ -18,18 +18,16 @@ scheme can be compared without a silent O(1) offset.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
 from .amplitudes import Atom, GeneralizedAmplitude, FULL_LINE, IncidentWave, project_band
-from .errors import PoleError, PointScatterError, ValidationError
+from .errors import (PoleError, PointScatterError, ValidationError, finite_real,
+                     require_cutoff_above_k)
 from .kernel import FOUR_PI, TWO_PI, CutoffSpec, Dispersion, regularized_h0_at_zero, varpi
 from .specfun import EULER_GAMMA, hankel1_0
 from .transfer import Coupling, FINITE, _amplitude, _amplitude_pole_denominator, _residual_scale
-
-
-def _finite(v: complex) -> bool:
-    return math.isfinite(v.real) and math.isfinite(v.imag)
 
 
 @dataclass(frozen=True)
@@ -42,7 +40,7 @@ class FamilyParams:
     def __post_init__(self):
         for name in ("b_plus", "b_minus"):
             v = complex(getattr(self, name))
-            if not _finite(v):
+            if not cmath.isfinite(v):
                 raise ValidationError(f"{name} must be finite, got {v!r}")
             object.__setattr__(self, name, v)
 
@@ -123,7 +121,7 @@ def family_solution(w: IncidentWave, z: Coupling, params: FamilyParams,
     d = w.dispersion()
     den = _family_denominator(z, lam, d)
     c = -1j * (1.0 + params.b_minus + params.b_plus) / (2.0 * den)
-    if not _finite(c):
+    if not cmath.isfinite(c):
         raise _overflow(params, "the family constant", lam)
     f_repr = FRepresentation(w.p0, w.k, params.b_plus, params.b_minus, c)
 
@@ -135,7 +133,7 @@ def family_solution(w: IncidentWave, z: Coupling, params: FamilyParams,
     except OverflowError:  # a modulus beyond the float range
         raise _overflow(params, "the fixed-point check", lam) from None
     if residual > bound:
-        if not _finite(c_check):
+        if not cmath.isfinite(c_check):
             raise _overflow(params, "the fixed-point check", lam)
         raise PointScatterError(
             f"family fixed-point residual {residual:.3e} exceeds {bound:.3e}")
@@ -154,7 +152,7 @@ def family_amplitude(w: IncidentWave, z: Coupling, params: FamilyParams,
     """
     den = _family_denominator(z, lam, w.dispersion())
     f = _amplitude(den, 1.0 + params.b_minus + params.b_plus)
-    if not _finite(f):
+    if not cmath.isfinite(f):
         raise _overflow(params, "the family amplitude", lam)
     return f
 
@@ -177,8 +175,7 @@ def absorption_condition(z: Coupling, lam: float, d: Dispersion) -> complex:
 
 def renormalized_b(params_sum: complex, lam: float, d: Dispersion) -> complex:
     """Renormalized edge-atom weight: b_tilde = i pi (b- + b+) / (2 ln(lam/k))."""
-    if not lam > d.k:
-        raise ValidationError(f"cutoff {lam!r} must exceed the wavenumber {d.k!r}")
+    lam = require_cutoff_above_k(finite_real("cutoff", lam), d.k)
     return 1j * math.pi * complex(params_sum) / (2.0 * math.log(lam / d.k))
 
 
@@ -214,8 +211,7 @@ def regularized_h0_position_scheme(lam: float, d: Dispersion) -> complex:
     by the constant ``position_scheme_offset()`` as lam grows; limits taken
     in the two schemes disagree by exactly that O(1) constant.
     """
-    if not lam > d.k:
-        raise ValidationError(f"cutoff {lam!r} must exceed the wavenumber {d.k!r}")
+    lam = require_cutoff_above_k(finite_real("cutoff", lam), d.k)
     return hankel1_0(d.k / lam)
 
 

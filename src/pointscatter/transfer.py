@@ -16,6 +16,7 @@ so the two treatments can be compared number by number.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -32,7 +33,8 @@ from .amplitudes import (
     integrate_inverse_varpi,
     scale,
 )
-from .errors import ForwardAngleError, PoleError, PointScatterError, ValidationError
+from .errors import (ForwardAngleError, PoleError, PointScatterError, ValidationError,
+                     finite_real, require_cutoff_above_k)
 from .kernel import FOUR_PI, CutoffSpec, Dispersion, green_cutoff_zero
 
 SQRT_2PI = math.sqrt(2.0 * math.pi)
@@ -63,18 +65,15 @@ class Coupling:
         value = complex(self.value)
         if value == 0:
             raise ValidationError("coupling must be nonzero (its inverse must exist)")
-        if not (math.isfinite(value.real) and math.isfinite(value.imag)):
+        if not cmath.isfinite(value):
             raise ValidationError(f"coupling must be finite, got {value!r}")
-        inverse = 1.0 / value
-        if not (math.isfinite(inverse.real) and math.isfinite(inverse.imag)):
+        if not cmath.isfinite(1.0 / value):
             raise ValidationError(f"coupling {value!r} has no finite inverse")
         object.__setattr__(self, "value", value)
         if self.kind == BARE:
-            if self.lam is None or not (math.isfinite(self.lam) and self.lam > 0):
-                raise ValidationError("bare coupling requires a positive cutoff")
+            object.__setattr__(self, "lam", finite_real("cutoff", self.lam, above=0.0))
         elif self.kind == RENORMALIZED:
-            if self.mu is None or not (math.isfinite(self.mu) and self.mu > 0):
-                raise ValidationError("renormalized coupling requires a positive scale mu")
+            object.__setattr__(self, "mu", finite_real("scale mu", self.mu, above=0.0))
 
     @classmethod
     def finite(cls, z: complex) -> "Coupling":
@@ -82,11 +81,11 @@ class Coupling:
 
     @classmethod
     def bare(cls, z: complex, lam: float) -> "Coupling":
-        return cls(BARE, z, lam=float(lam))
+        return cls(BARE, z, lam=lam)
 
     @classmethod
     def renormalized(cls, z: complex, mu: float) -> "Coupling":
-        return cls(RENORMALIZED, z, mu=float(mu))
+        return cls(RENORMALIZED, z, mu=mu)
 
 
 K_MATRIX = np.array([[1.0, 1.0], [-1.0, -1.0]], dtype=complex)
@@ -184,9 +183,8 @@ def auxiliary_entries(z: Coupling, lam: float, d: Dispersion):
     M12 = -(i z / 4 pi) * full-line smear, M22 = identity + (i z / 4 pi) *
     full-line smear; the full line is represented at the finite cutoff only.
     """
-    if not lam > d.k:
-        raise ValidationError(f"cutoff {lam!r} must exceed the wavenumber {d.k!r}")
     dom = cutoff_line(lam)
+    require_cutoff_above_k(dom.lam, d.k)
     coeff = 1j * z.value / FOUR_PI
     return (TransferEntry(0j, -coeff, dom), TransferEntry(1.0 + 0j, coeff, dom))
 
@@ -249,9 +247,9 @@ def solve_fundamental(w: IncidentWave, z: Coupling) -> FundamentalSolution:
     return FundamentalSolution(b_minus, a_plus, c_prime)
 
 
-def _validate_scattering_angle(theta: float, theta0: float):
-    if not (isinstance(theta, (int, float)) and math.isfinite(theta)):
-        raise ValidationError(f"scattering angle must be finite, got {theta!r}")
+def _validate_scattering_angle(theta: float, theta0: float) -> float:
+    """``theta`` as a float if it is an admissible scattering angle."""
+    theta = finite_real("scattering angle", theta)
     if not (-0.5 * math.pi < theta < 1.5 * math.pi):
         raise ValidationError(
             f"scattering angle must lie in (-pi/2, pi/2) u (pi/2, 3pi/2), got {theta!r}")
@@ -263,13 +261,15 @@ def _validate_scattering_angle(theta: float, theta0: float):
             f"theta = theta0 = {theta!r}: the forward direction carries the "
             "unscattered delta beam -2 pi delta(theta - theta0), reported "
             "symbolically only")
+    return theta
 
 
-def scattering_amplitude_dfss(w: IncidentWave, z: Coupling, theta: float) -> complex:
+def scattering_amplitude_dfss(w: IncidentWave, z: Coupling) -> complex:
     """Scattering amplitude from the fundamental transfer matrix.
 
     Isotropic by construction: f = -(1/sqrt(8 pi)) / (z^{-1} + i/4) at every
-    admissible angle.  Both extraction paths (transmission-side A+ and
+    scattering angle, so it takes none (``fields.cross_section`` tabulates it
+    over checked angles).  Both extraction paths (transmission-side A+ and
     reflection-side B- background, the delta beam removed symbolically) are
     evaluated and must agree to 1e-14 max(1, |c'|, S) before the value is
     returned, with S from ``_residual_scale(z, c')``.  The guard bounds
@@ -278,7 +278,6 @@ def scattering_amplitude_dfss(w: IncidentWave, z: Coupling, theta: float) -> com
     """
     if z.kind != FINITE:
         raise ValidationError("the singularity-free amplitude takes a finite coupling")
-    _validate_scattering_angle(theta, w.theta0)
     sol = solve_fundamental(w, z)
     f_transmission = -1j * sol.a_plus.background / SQRT_2PI
     f_reflection = -1j * sol.b_minus.background / SQRT_2PI
@@ -306,8 +305,7 @@ def renormalize_bare(z_bare: complex, lam: float, mu: float) -> complex:
     z_bare = complex(z_bare)
     if z_bare == 0:
         raise ValidationError("bare coupling must be nonzero")
-    if not (math.isfinite(lam) and lam > 0 and math.isfinite(mu) and mu > 0):
-        raise ValidationError("cutoff and scale must be positive")
+    lam, mu = finite_real("cutoff", lam, above=0.0), finite_real("scale mu", mu, above=0.0)
     log_term = math.log(lam / mu) / (2.0 * math.pi)
     if log_term == 0.0:
         return z_bare  # lam = mu is an exact fixed point of the map
@@ -322,8 +320,7 @@ def flow_bare_coupling(z_tilde: complex, lam: float, mu: float) -> complex:
     z_tilde = complex(z_tilde)
     if z_tilde == 0:
         raise ValidationError("renormalized coupling must be nonzero")
-    if not (math.isfinite(lam) and lam > 0 and math.isfinite(mu) and mu > 0):
-        raise ValidationError("cutoff and scale must be positive")
+    lam, mu = finite_real("cutoff", lam, above=0.0), finite_real("scale mu", mu, above=0.0)
     log_term = math.log(lam / mu) / (2.0 * math.pi)
     if log_term == 0.0:
         return z_tilde
@@ -344,7 +341,7 @@ def bare_amplitude_with_cutoff(w: IncidentWave, z_bare: complex, lam: float) -> 
     if z_bare == 0:
         raise ValidationError("bare coupling must be nonzero")
     d = w.dispersion()
-    g0 = green_cutoff_zero(CutoffSpec(float(lam)), d)
+    g0 = green_cutoff_zero(CutoffSpec(lam), d)
     den = 1.0 / z_bare - g0
     if den == 0:
         raise PoleError("bare coupling inverse equals G_lam(0): amplitude pole")

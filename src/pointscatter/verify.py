@@ -151,7 +151,7 @@ def _check_route_agreement(rng) -> CheckResult:
         mag = 10.0 ** rng.uniform(-1.0, 1.0)
         phase = rng.uniform(0.0, 2.0 * math.pi)
         zv = mag * complex(math.cos(phase), math.sin(phase))
-        f1 = transfer.scattering_amplitude_dfss(w, Coupling.finite(zv), 0.3)
+        f1 = transfer.scattering_amplitude_dfss(w, Coupling.finite(zv))
         f2 = transfer.scattering_amplitude_renormalized(
             w, Coupling.renormalized(zv, 1.0))
         worst = max(worst, abs(f1 - f2))
@@ -236,7 +236,7 @@ def _check_absorption_roundtrip() -> CheckResult:
     worst = 0.0
     for zv in (1.0, 0.5j, 2.0 - 1.0j):
         z = Coupling.finite(zv)
-        f_ref = transfer.scattering_amplitude_dfss(w, z, 0.3)
+        f_ref = transfer.scattering_amplitude_dfss(w, z)
         for lam in (2.0, 10.0, 100.0):
             b_sum = singfree.absorption_condition(z, lam, d)
             f_fam = singfree.family_amplitude(w, z, FamilyParams(b_sum, 0j), lam)
@@ -277,7 +277,7 @@ def _check_unitarity_circle() -> CheckResult:
     target = -math.sqrt(2.0 * math.pi) / 2.0
     worst = 0.0
     for zv in (0.1, 1.0, 10.0, -3.0):
-        f = transfer.scattering_amplitude_dfss(w, Coupling.finite(zv), 0.3)
+        f = transfer.scattering_amplitude_dfss(w, Coupling.finite(zv))
         worst = max(worst, abs((1.0 / f).imag - target))
     return CheckResult("8-unitarity-circle", 1e-12, worst, worst <= 1e-12)
 

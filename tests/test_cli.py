@@ -157,6 +157,15 @@ class TestFamilyCommand:
         assert float(row["re_f_family"]) == 0.0
         assert float(row["im_f_family"]) == 0.0
 
+    # points of the 8-angle scattering grid that family once built, unused
+    @pytest.mark.parametrize("theta0", [1.9634954084936207, 2.7488935718910685,
+                                        3.5342917352885177, 4.319689898685965])
+    def test_every_incidence_angle(self, theta0, capsys):
+        plain = run(["family"], capsys)
+        assert plain[0] == 0
+        # the table does not depend on theta0
+        assert run(["family", f"--theta0={theta0!r}"], capsys) == plain
+
 
 class TestStrongCoupling:
     """Valid couplings far above 1.  The solve and extraction guards bound
@@ -203,6 +212,21 @@ class TestStrongCoupling:
             scattered = complex(row["re_psi"], row["im_psi"]) - incident
             c_prime = scattered * 4.0 * math.pi / hankel1(0, math.hypot(x, y))
             assert abs(c_prime / (1j * math.sqrt(2.0 * math.pi)) - f) <= 1e-12 * abs(f)
+
+
+class TestTotalFieldOverflow:
+    """A total field whose incident phase leaves the float range is a
+    ValidationError, never a table of NaN cells; where that happens depends
+    on k, theta0 and the grid, so the non-finite value itself is detected."""
+
+    @pytest.mark.parametrize("argv", [
+        ["--k=1e300", "--grid=-0.1,0.1,3,-0.1,0.1,3"],
+        ["--k=1e150", "--grid=-1e200,1e200,3,-1,1,3"],
+    ])
+    def test_rejected(self, argv, capsys):
+        code, out, err = run(["field", *argv], capsys)
+        assert (code, out) == (1, "")
+        assert err.startswith(f"{cli.ERROR_PREFIX} ValidationError: ") and err.count("\n") == 1
 
 
 class TestEdgeWeightOverflow:
@@ -502,7 +526,7 @@ def _reference_amplitude_bytes(k, theta0, z, n, fmt):
     rows = []
     for j in range(n):
         theta = -0.5 * math.pi + (j + 0.5) * 2.0 * math.pi / n
-        f1 = transfer.scattering_amplitude_dfss(w, Coupling.finite(z), theta)
+        f1 = transfer.scattering_amplitude_dfss(w, Coupling.finite(z))
         f2 = transfer.scattering_amplitude_renormalized(w, Coupling.renormalized(z, k))
         rows.append([theta, f1.real, f1.imag, abs(f1) ** 2,
                      f2.real, f2.imag, abs(f2) ** 2, abs(f1 - f2)])

@@ -76,7 +76,7 @@ class TestAbsorption:
         z = Coupling.finite(zv)
         b_sum = singfree.absorption_condition(z, lam, D1)
         f_fam = singfree.family_amplitude(W, z, FamilyParams(b_sum, 0j), lam)
-        f_ref = transfer.scattering_amplitude_dfss(W, z, 0.3)
+        f_ref = transfer.scattering_amplitude_dfss(W, z)
         assert abs(f_fam - f_ref) < 1e-12
 
     @pytest.mark.parametrize("lam", [2.0, 10.0, 100.0])

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from pointscatter import amplitudes as amp
-from pointscatter import transfer
+from pointscatter import fields, transfer
 from pointscatter.errors import ForwardAngleError, PoleError, ValidationError
 from pointscatter.kernel import CutoffSpec, Dispersion, green_cutoff_zero
 from pointscatter.transfer import Coupling, K_MATRIX
@@ -162,19 +162,18 @@ class TestSolveFundamental:
 
 class TestScatteringAmplitudes:
     def test_frozen_value_at_unit_coupling(self):
-        f = transfer.scattering_amplitude_dfss(W, Coupling.finite(1.0), 0.3)
+        f = transfer.scattering_amplitude_dfss(W, Coupling.finite(1.0))
         assert abs(f - F_AT_1) < 1e-15
 
     def test_isotropy_exact(self, rng):
         z = Coupling.finite(1.0)
-        values = {transfer.scattering_amplitude_dfss(W, z, float(t))
-                  for t in rng.uniform(-1.5, 1.5, size=20)}
+        values = {s for _, s in fields.cross_section(W, z, rng.uniform(-1.5, 1.5, size=20))}
         assert len(values) == 1
 
     def test_routes_agree_bitwise(self, rng):
         for _ in range(10):
             zv = complex(rng.normal(), rng.normal())
-            f1 = transfer.scattering_amplitude_dfss(W, Coupling.finite(zv), 0.3)
+            f1 = transfer.scattering_amplitude_dfss(W, Coupling.finite(zv))
             f2 = transfer.scattering_amplitude_renormalized(
                 W, Coupling.renormalized(zv, 1.0))
             assert f1 == f2
@@ -182,7 +181,7 @@ class TestScatteringAmplitudes:
     def test_unitarity_circle_for_real_couplings(self):
         target = -math.sqrt(2.0 * math.pi) / 2.0
         for zv in (0.1, 1.0, 10.0, -3.0):
-            f = transfer.scattering_amplitude_dfss(W, Coupling.finite(zv), 0.3)
+            f = transfer.scattering_amplitude_dfss(W, Coupling.finite(zv))
             assert abs((1.0 / f).imag - target) < 1e-12
 
     def test_strong_coupling_magnitude_limit(self):
@@ -191,25 +190,25 @@ class TestScatteringAmplitudes:
         assert abs(abs(f) - math.sqrt(2.0 / math.pi)) < 1e-7
 
     def test_weak_coupling_vanishes(self):
-        f = transfer.scattering_amplitude_dfss(W, Coupling.finite(1e-12), 0.3)
+        f = transfer.scattering_amplitude_dfss(W, Coupling.finite(1e-12))
         assert abs(f) < 1e-12
 
     def test_forward_angle_error(self):
         with pytest.raises(ForwardAngleError):
-            transfer.scattering_amplitude_dfss(W, Coupling.finite(1.0), math.pi)
+            fields.cross_section(W, Coupling.finite(1.0), [math.pi])
 
     def test_grazing_angles_rejected(self):
         for theta in (0.5 * math.pi, -0.5 * math.pi):
             with pytest.raises(ValidationError):
-                transfer.scattering_amplitude_dfss(W, Coupling.finite(1.0), theta)
+                fields.cross_section(W, Coupling.finite(1.0), [theta])
 
     def test_out_of_range_angle_rejected(self):
         with pytest.raises(ValidationError):
-            transfer.scattering_amplitude_dfss(W, Coupling.finite(1.0), 5.0)
+            fields.cross_section(W, Coupling.finite(1.0), [5.0])
 
     def test_pole_error(self):
         with pytest.raises(PoleError):
-            transfer.scattering_amplitude_dfss(W, Coupling.finite(4.0j), 0.3)
+            transfer.scattering_amplitude_dfss(W, Coupling.finite(4.0j))
 
     def test_renormalized_requires_kind(self):
         with pytest.raises(ValidationError):
