@@ -32,9 +32,9 @@ FAR_FIELD_NTHETA = 120
 
 MAX_GRID_NODES = 250_000
 """Largest ``field --grid`` node count nx*ny.  The rendered table is held in
-memory, about 0.66 KB per node as CSV and 1.2 KB as JSON, so a run at the cap
-peaks near 0.22 GB (CSV) or 0.36 GB (JSON) and takes 0.9-1.1 s or 1.5-1.6 s
-on a 2-vCPU Xeon VM; the default grid has 40 401 nodes."""
+memory, about 0.65 KB per node as CSV and 1 KB as JSON, so a run at the cap
+peaks near 0.21 GB (CSV) or 0.29-0.33 GB (JSON) and takes 0.8-1.0 s or
+1.1-1.5 s on a 2-vCPU Xeon VM; the default grid has 40 401 nodes."""
 
 MAX_THETA_GRID = 10_000
 """Largest ``amplitude --theta-grid``.  The amplitude is isotropic, so a
@@ -176,12 +176,96 @@ def _parser() -> _Parser:
 # to (values, index): that column's cell in row r is values[index[r]].  The
 # dense cells fill the other columns in order.  Each distinct value of a
 # ``few`` column is formatted once and its token reused.
+#
+# A table with ``few`` (the field grid, tens of thousands of rows) renders in
+# blocks of rows, each in two % passes.  Most of its dense cells lie in
+# [1e-4, 1) in magnitude, where "%.15g" writes "[-]0." + zeros + 15 digits
+# less trailing zeros; numpy finds those digits as an integer, so the first
+# pass writes each such cell as its prefix + "%d" and the second formats
+# integers, which CPython does several times faster than 15-digit floats.
+# Tables without ``few`` keep their one "%.15g" pass: most have a few dozen
+# cells, where numpy's fixed cost would outweigh the saving.
 
-def _few_tokens(few, tokens_of) -> np.ndarray:
-    """The tokens of the ``few`` columns in column order, one row per table row."""
-    return np.column_stack([
-        np.array(tokens_of(np.asarray(values, dtype=float)), dtype=object)[index]
-        for values, index in (few[i] for i in sorted(few))])
+_SPLIT = 2.0 ** 27 + 1.0  # Dekker's splitter for float64
+
+
+def _split(x):
+    """(hi, lo) with x = hi + lo exactly, each of at most 26 significant bits."""
+    c = _SPLIT * x
+    hi = c - (c - x)
+    return hi, x - hi
+
+
+_SCALE = 10.0 ** np.arange(18, 14, -1)  # 10^(14 - e) at e + 4, e = -4 ... -1: exact
+_SCALE_HI, _SCALE_LO = _split(_SCALE)
+_PREFIXES = [sign + "0." + "0" * zeros + "%d" for sign in ("", "-") for zeros in range(4)]
+_ROWS = 1 << 12  # table rows per block: keeps each block's arrays and strings near 1 MB
+
+
+def _fixed_mantissas(v: np.ndarray):
+    """(code, digits) for the 1-D float array ``v``: ``code`` is -1 for a
+    cell left to "%.15g", else the index into ``_PREFIXES`` of the pattern
+    that makes "%.15g" % v[i] out of the cell's entry in ``digits``, which
+    holds one integer per such cell in order.
+
+    Only cells with 1e-4 <= |v| < 1 qualify: there "%.15g" writes "[-]0.",
+    -e - 1 zeros and the 15 digits of the integer m nearest to
+    s = |v| 10^(14 - e), e = floor(log10 |v|), less trailing zeros.  s is
+    formed exactly as p + err (Dekker's product).  A cell whose s lies
+    within 1e-6 of a half, or whose m leaves [1e14, 1e15) (a carry to the
+    next decade, or log10 off by one), is left out.
+    """
+    x = np.abs(v)
+    fixed = (x >= 1e-4) & (x < 1.0)
+    x[~fixed] = 0.5  # log10 of 0, nan or inf would warn
+    decade = np.clip(np.floor(np.log10(x)), -4.0, -1.0).astype(np.intp) + 4  # e + 4
+    p = x * _SCALE[decade]
+    x_hi, x_lo = _split(x)
+    s_hi, s_lo = _SCALE_HI[decade], _SCALE_LO[decade]
+    err = ((x_hi * s_hi - p) + x_hi * s_lo + x_lo * s_hi) + x_lo * s_lo
+    m = np.rint(p)
+    frac = (p - m) + err
+    m += (frac > 0.5).astype(float) - (frac < -0.5)
+    fixed &= (np.abs(np.abs(frac) - 0.5) > 1e-6) & (m >= 1e14) & (m < 1e15)
+    digits = m[fixed].astype(np.int64)
+    pending = np.flatnonzero(digits % 10 == 0)
+    while pending.size:
+        digits[pending] //= 10
+        pending = pending[digits[pending] % 10 == 0]
+    return np.where(fixed, 4 * (v < 0) + 3 - decade, -1), digits
+
+
+def _fill_two_pass(row: str, sep: str, header, rows, few, tokens_of) -> str:
+    """The rows of a table with ``few``, each written by ``row`` (a "%s" per
+    cell) and joined by ``sep``, filled in blocks of ``_ROWS`` rows by two %
+    passes.  The first writes each cell as a ``few`` column's token, a fixed
+    dense cell's pattern or another dense cell's ``tokens_of`` token, all
+    gathered from one vocabulary by an integer code; the second fills in the
+    fixed cells' digits.  Blocks keep the peak memory of a large grid below
+    that of one "%.15g" pass over the whole table."""
+    dense = np.asarray(rows, dtype=float)
+    columns = [i for i in range(len(header)) if i not in few]
+    few_tokens, few_codes = [], {}
+    for i, (values, index) in few.items():
+        few_codes[i] = len(few_tokens) + np.asarray(index)
+        few_tokens += tokens_of(np.asarray(values, dtype=float))
+    blocks = []
+    for start in range(0, len(dense), _ROWS):
+        block = dense[start:start + _ROWS]
+        flat = block.ravel()
+        code, digits = _fixed_mantissas(flat)
+        rest = code < 0
+        vocabulary = few_tokens + _PREFIXES + tokens_of(flat[rest])
+        code += len(few_tokens)
+        code[rest] = np.arange(len(few_tokens) + len(_PREFIXES), len(vocabulary))
+        codes = np.empty((len(block), len(header)), dtype=np.intp)
+        codes[:, columns] = code.reshape(block.shape)
+        for i, column in few_codes.items():
+            codes[:, i] = column[start:start + _ROWS]
+        cells = np.array(vocabulary, dtype=object)[codes.ravel()]
+        text = sep.join([row] * len(block)) % tuple(cells.tolist())
+        blocks.append(text % tuple(digits.tolist()))
+    return sep.join(blocks)
 
 
 def _csv_tokens(values) -> list[str]:
@@ -190,14 +274,11 @@ def _csv_tokens(values) -> list[str]:
 
 def _csv_bytes(header, rows, few=None) -> bytes:
     if few:
-        # bake the few-valued tokens into the line template; "%%" leaves the
-        # dense cells' conversions for the one %.15g pass below
-        line = ",".join(["%s" if i in few else "%%.15g" for i in range(len(header))])
-        tokens = _few_tokens(few, _csv_tokens).ravel().tolist()
-        template = (line + "\r\n") * len(rows) % tuple(tokens)
+        body = _fill_two_pass(",".join(["%s"] * len(header)) + "\r\n", "",
+                              header, rows, few, _csv_tokens)
     else:
         template = (",".join(["%.15g"] * len(header)) + "\r\n") * len(rows)
-    body = template % tuple(np.asarray(rows, dtype=float).ravel().tolist())
+        body = template % tuple(np.asarray(rows, dtype=float).ravel().tolist())
     return (",".join(header) + "\r\n" + body).encode("utf-8")
 
 
@@ -229,21 +310,20 @@ def _json_tokens(table) -> list[str]:
 
 def _json_table(header, rows, few=None) -> str:
     """The table as json.dumps(indent=2) writes a list of {name: cell} row
-    objects one level inside a report, filled in one % pass."""
-    table = np.asarray(rows, dtype=float)
-    n = len(table)
+    objects one level inside a report, filled in one % pass (with ``few``, two
+    per block of rows)."""
+    n = len(rows)
     if n == 0:
         return "[]"
-    members = ",\n".join(f"      {json.dumps(name).replace('%', '%%')}: %s" for name in header)
+    # a literal "%" of a name must survive each % pass
+    percent = "%%%%" if few else "%%"
+    members = ",\n".join(f"      {json.dumps(name).replace('%', percent)}: %s" for name in header)
     row = "    {\n" + members + "\n    }"
-    tokens = _json_tokens(table)
     if few:
-        dense = [i for i in range(len(header)) if i not in few]
-        matrix = np.empty((n, len(header)), dtype=object)
-        matrix[:, dense] = np.array(tokens, dtype=object).reshape(n, len(dense))
-        matrix[:, sorted(few)] = _few_tokens(few, _json_tokens)
-        tokens = matrix.ravel().tolist()
-    return "[\n" + ",\n".join([row] * n) % tuple(tokens) + "\n  ]"
+        body = _fill_two_pass(row, ",\n", header, rows, few, _json_tokens)
+    else:
+        body = ",\n".join([row] * n) % tuple(_json_tokens(np.asarray(rows, dtype=float)))
+    return "[\n" + body + "\n  ]"
 
 
 def _json_bytes(report, tables=()) -> bytes:

@@ -6,6 +6,7 @@ delta beam) rather than as floating-point garbage.  The argument rules that
 every module shares live here too, so each is written once.
 """
 
+import cmath
 import math
 
 
@@ -30,6 +31,20 @@ def finite_real(name: str, value, above: float | None = None) -> float:
             return v
     bound = "" if above is None else f" above {above!r}"
     raise ValidationError(f"{name} must be a finite real number{bound}, got {value!r}")
+
+
+def finite_complex(name: str, value) -> complex:
+    """``value`` as a complex if it is an int, float or complex (not a bool)
+    and finite; otherwise a ValidationError naming the parameter and the
+    value.  The twin of ``finite_real``."""
+    if isinstance(value, (int, float, complex)) and not isinstance(value, bool):
+        try:
+            v = complex(value)
+        except OverflowError:  # an int beyond the float range
+            v = complex(math.inf)
+        if cmath.isfinite(v):
+            return v
+    raise ValidationError(f"{name} must be a finite complex number, got {value!r}")
 
 
 def require_cutoff_above_k(lam: float, k: float) -> float:

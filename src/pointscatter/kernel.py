@@ -33,6 +33,9 @@ TWO_PI = 2.0 * math.pi
 FOUR_PI = 4.0 * math.pi
 MIN_WAVENUMBER = math.sqrt(sys.float_info.min)
 """Smallest accepted wavenumber, ~1.49e-154: below it k*k is subnormal or 0."""
+MAX_WAVENUMBER = math.sqrt(sys.float_info.max)
+"""Largest accepted wavenumber, ~1.34e154: above it k*k overflows, and so
+does k^2 - p^2 inside varpi(p) for |p| well below k."""
 
 PV_PLUS_DELTA = "pv-delta"
 FINITE_EPSILON = "finite-epsilon"
@@ -49,6 +52,9 @@ class Dispersion:
         if k * k < sys.float_info.min:
             raise ValidationError(
                 f"wavenumber {k!r} is below {MIN_WAVENUMBER!r}, where k*k underflows")
+        if k > MAX_WAVENUMBER:
+            raise ValidationError(
+                f"wavenumber {k!r} is above {MAX_WAVENUMBER!r}, where k*k overflows")
         object.__setattr__(self, "k", k)
 
 

@@ -23,8 +23,8 @@ import math
 from dataclasses import dataclass
 
 from .amplitudes import Atom, GeneralizedAmplitude, FULL_LINE, IncidentWave, project_band
-from .errors import (PoleError, PointScatterError, ValidationError, finite_real,
-                     require_cutoff_above_k)
+from .errors import (PoleError, PointScatterError, ValidationError, finite_complex,
+                     finite_real, require_cutoff_above_k)
 from .kernel import FOUR_PI, TWO_PI, CutoffSpec, Dispersion, regularized_h0_at_zero, varpi
 from .specfun import EULER_GAMMA, hankel1_0
 from .transfer import Coupling, FINITE, _amplitude, _amplitude_pole_denominator, _residual_scale
@@ -39,10 +39,7 @@ class FamilyParams:
 
     def __post_init__(self):
         for name in ("b_plus", "b_minus"):
-            v = complex(getattr(self, name))
-            if not cmath.isfinite(v):
-                raise ValidationError(f"{name} must be finite, got {v!r}")
-            object.__setattr__(self, name, v)
+            object.__setattr__(self, name, finite_complex(name, getattr(self, name)))
 
     @property
     def b_sum(self) -> complex:
@@ -132,7 +129,7 @@ def family_solution(w: IncidentWave, z: Coupling, params: FamilyParams,
         bound = 1e-12 * _residual_scale(z.value, c * regularized_h0_at_zero(CutoffSpec(lam), d))
     except OverflowError:  # a modulus beyond the float range
         raise _overflow(params, "the fixed-point check", lam) from None
-    if residual > bound:
+    if not residual <= bound:  # a NaN residual fails too
         if not cmath.isfinite(c_check):
             raise _overflow(params, "the fixed-point check", lam)
         raise PointScatterError(
@@ -176,7 +173,8 @@ def absorption_condition(z: Coupling, lam: float, d: Dispersion) -> complex:
 def renormalized_b(params_sum: complex, lam: float, d: Dispersion) -> complex:
     """Renormalized edge-atom weight: b_tilde = i pi (b- + b+) / (2 ln(lam/k))."""
     lam = require_cutoff_above_k(finite_real("cutoff", lam), d.k)
-    return 1j * math.pi * complex(params_sum) / (2.0 * math.log(lam / d.k))
+    b_sum = finite_complex("edge weight sum", params_sum)
+    return 1j * math.pi * b_sum / (2.0 * math.log(lam / d.k))
 
 
 def renormalized_b_limit(z: Coupling) -> complex:

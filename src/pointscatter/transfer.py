@@ -34,7 +34,7 @@ from .amplitudes import (
     scale,
 )
 from .errors import (ForwardAngleError, PoleError, PointScatterError, ValidationError,
-                     finite_real, require_cutoff_above_k)
+                     finite_complex, finite_real, require_cutoff_above_k)
 from .kernel import FOUR_PI, CutoffSpec, Dispersion, green_cutoff_zero
 
 SQRT_2PI = math.sqrt(2.0 * math.pi)
@@ -62,11 +62,9 @@ class Coupling:
     def __post_init__(self):
         if self.kind not in (FINITE, BARE, RENORMALIZED):
             raise ValidationError(f"unknown coupling kind {self.kind!r}")
-        value = complex(self.value)
+        value = finite_complex("coupling", self.value)
         if value == 0:
             raise ValidationError("coupling must be nonzero (its inverse must exist)")
-        if not cmath.isfinite(value):
-            raise ValidationError(f"coupling must be finite, got {value!r}")
         if not cmath.isfinite(1.0 / value):
             raise ValidationError(f"coupling {value!r} has no finite inverse")
         object.__setattr__(self, "value", value)
@@ -241,7 +239,8 @@ def solve_fundamental(w: IncidentWave, z: Coupling) -> FundamentalSolution:
     a_plus = m12.apply(b_minus, d)
 
     residual = add(m22.apply(b_minus, d), scale(source, -1.0))
-    if _magnitude(residual) > 1e-12 * _residual_scale(z.value, c_prime):
+    # written so that a NaN residual fails the check
+    if not _magnitude(residual) <= 1e-12 * _residual_scale(z.value, c_prime):
         raise PointScatterError(
             f"internal solve inconsistency: residual {_magnitude(residual):.3e}")
     return FundamentalSolution(b_minus, a_plus, c_prime)
@@ -283,7 +282,7 @@ def scattering_amplitude_dfss(w: IncidentWave, z: Coupling) -> complex:
     f_reflection = -1j * sol.b_minus.background / SQRT_2PI
     f = _closed_form_amplitude(z.value)
     tol = 1e-14 * _residual_scale(z.value, sol.c_prime)
-    if abs(f_transmission - f_reflection) > tol or abs(f_reflection - f) > tol:
+    if not (abs(f_transmission - f_reflection) <= tol and abs(f_reflection - f) <= tol):
         raise PointScatterError("extraction paths for the amplitude disagree")
     return f
 
@@ -302,7 +301,7 @@ def scattering_amplitude_renormalized(w: IncidentWave, z_tilde: Coupling) -> com
 
 def renormalize_bare(z_bare: complex, lam: float, mu: float) -> complex:
     """Renormalized coupling (z_bare^{-1} + ln(lam/mu)/(2 pi))^{-1}."""
-    z_bare = complex(z_bare)
+    z_bare = finite_complex("bare coupling", z_bare)
     if z_bare == 0:
         raise ValidationError("bare coupling must be nonzero")
     lam, mu = finite_real("cutoff", lam, above=0.0), finite_real("scale mu", mu, above=0.0)
@@ -317,7 +316,7 @@ def renormalize_bare(z_bare: complex, lam: float, mu: float) -> complex:
 
 def flow_bare_coupling(z_tilde: complex, lam: float, mu: float) -> complex:
     """Bare coupling that renormalizes to z_tilde at (lam, mu): the inverse map."""
-    z_tilde = complex(z_tilde)
+    z_tilde = finite_complex("renormalized coupling", z_tilde)
     if z_tilde == 0:
         raise ValidationError("renormalized coupling must be nonzero")
     lam, mu = finite_real("cutoff", lam, above=0.0), finite_real("scale mu", mu, above=0.0)
@@ -337,7 +336,7 @@ def bare_amplitude_with_cutoff(w: IncidentWave, z_bare: complex, lam: float) -> 
     this decays logarithmically with the cutoff; along the renormalization
     flow it stabilizes onto the renormalized amplitude.
     """
-    z_bare = complex(z_bare)
+    z_bare = finite_complex("bare coupling", z_bare)
     if z_bare == 0:
         raise ValidationError("bare coupling must be nonzero")
     d = w.dispersion()

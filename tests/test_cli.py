@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -229,6 +230,20 @@ class TestTotalFieldOverflow:
         assert err.startswith(f"{cli.ERROR_PREFIX} ValidationError: ") and err.count("\n") == 1
 
 
+class TestHugeWavenumber:
+    """A wavenumber whose square overflows is a ValidationError; below that
+    cap the amplitude table, which does not depend on k, is unchanged."""
+
+    def test_square_overflow_rejected(self, capsys):
+        code, out, err = run(["amplitude", "--k=1.35e154"], capsys)
+        assert (code, out) == (1, "")
+        assert err.startswith(f"{cli.ERROR_PREFIX} ValidationError: wavenumber 1.35e+154 ")
+        assert err.count("\n") == 1
+
+    def test_below_cap_unchanged(self, capsys):
+        assert run(["amplitude", "--k=1.3e154"], capsys) == run(["amplitude"], capsys)
+
+
 class TestEdgeWeightOverflow:
     """Edge weights whose family constant, fixed-point check, psi0, |psi0|^2
     or current leaves the float range are a ValidationError, never a silent
@@ -251,6 +266,11 @@ class TestEdgeWeightOverflow:
         with pytest.warns(GridCoarseWarning):
             self.assert_rejected(["field", "--psi0-only", "--b-plus=1e300,0",
                                   "--grid=-0.1,0.1,5,-0.1,0.1,5"], capsys)
+
+    # c is finite, but its fixed-point check reads nan + nan i
+    @pytest.mark.parametrize("b_plus", ["1.5e308,0", "1e308,1e308", "7e307,7e307"])
+    def test_family_fixed_point_check_nan(self, b_plus, capsys):
+        self.assert_rejected(["family", f"--b-plus={b_plus}"], capsys)
 
     def test_largest_finite_family_unchanged(self, capsys):
         code, out, err = run(["family", "--b-plus=2e307,2e307"], capsys)
@@ -564,6 +584,8 @@ class TestFieldBytesAgainstCellReference:
         (1.3, 3.5, -3 + 0j, (-0.27, 0.27, 37, 0.0, 0.06, 5)),
         # edge weights in place of a coupling: --psi0-only, no far field
         (0.9, math.pi, FamilyParams(1 - 0.5j, 0.25 + 2j), (0.0, 0.16, 9, 0.5, 0.56, 4)),
+        # 4 941 rows: more than one block of cli._ROWS rows
+        (1.0, math.pi, 1 + 0j, (-0.4, 0.4, 81, -0.3, 0.3, 61)),
     ])
     def test_field_and_far_field_bytes(self, k, theta0, z, grid, fmt, tmp_path, capsys):
         out_path = tmp_path / f"field.{fmt}"
@@ -680,6 +702,81 @@ class TestFewValuedColumns:
         json_bytes = cli._json_bytes(self.REPORT, [("rows", header, rows, few)])
         assert (json_bytes == cli._json_bytes(self.REPORT, [("rows", header, full)])
                 == _reference_json_bytes(self.REPORT, [("rows", header, full)]))
+
+
+def _ulps(value, steps):
+    """``value`` moved ``steps`` floats up (steps > 0) or down."""
+    for _ in range(abs(steps)):
+        value = math.nextafter(value, math.inf if steps > 0 else -math.inf)
+    return value
+
+
+def _half_digit(digits, zeros, steps):
+    """A decimal "0." + zeros + 15 digits + "5", where %.15g rounds on a
+    half of its last digit, moved ``steps`` floats."""
+    return _ulps(float("0." + "0" * zeros + str(digits) + "5"), steps)
+
+
+def _exact_half(k, e):
+    """An odd multiple of 2^(e - 15) in [10^e, 10^(e + 1)): its 16th
+    significant digit is an exact 5, a tie that %.15g breaks to even."""
+    lo, hi = math.ceil(10.0 ** e * 2 ** (15 - e)), math.floor(10.0 ** (e + 1) * 2 ** (15 - e))
+    return math.ldexp((lo + k % (hi - lo)) | 1, e - 15)
+
+
+_STEPS = st.integers(-2, 2)
+_FIXED_EDGES = st.one_of(
+    # the fixed-notation range of "%.15g", 1e-4 <= |v| < 1
+    st.floats(-4.0, 0.0, exclude_max=True).map(lambda t: 10.0 ** t),
+    # each decade's edges, and values that round up to 1 or to the next decade
+    st.builds(_ulps, st.sampled_from([1e-4, 1e-3, 0.01, 0.1, 1.0]), _STEPS),
+    st.builds(_ulps, st.sampled_from([0.9999999999999996, 0.09999999999999996,
+                                      0.0009999999999999996, 0.99999999999999951]), _STEPS),
+    st.builds(_half_digit, st.integers(10 ** 14, 10 ** 15 - 1), st.integers(0, 3), _STEPS),
+    st.builds(_ulps, st.just(0.1234567890123455), _STEPS),
+    st.builds(_exact_half, st.integers(0, 2 ** 20), st.integers(-4, -1)),
+)
+_FIXED_CELLS = st.one_of(
+    st.builds(lambda v, sign: sign * v, _FIXED_EDGES, st.sampled_from([1.0, -1.0])),
+    st.sampled_from([0.0, -0.0, math.nan]))
+
+
+class TestFixedMantissas:
+    """Dense cells of a field table whose "%.15g" text is "[-]0." + digits
+    are formatted from integers; the bytes match the cell-by-cell references."""
+
+    REPORT = {"command": "t"}
+
+    @settings(max_examples=300)
+    @given(cells=st.lists(_FIXED_CELLS, min_size=1, max_size=60), data=st.data())
+    @example(cells=[0.1234567890123455, _ulps(0.1234567890123455, 1), 0.9999999999999996,
+                    -_ulps(1e-4, -1), 1e-4, -0.0, math.nan, 0.0], data=None)
+    def test_matches_cell_references(self, cells, data):
+        width = 3
+        n = -(-len(cells) // width)
+        cells = cells + [0.5] * (n * width - len(cells))
+        dense = np.array(cells).reshape(n, width)
+        index = (np.arange(n) % 2 if data is None
+                 else np.array(data.draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)),
+                               dtype=np.intp))
+        header = ["x", "a", "b", "c"]
+        few = {0: ((0.25, -3e-5), index)}
+        full = [[(0.25, -3e-5)[i], *row] for i, row in zip(index.tolist(), dense.tolist())]
+        # one block of rows, and blocks of two rows with a short last one
+        for rows_per_block in (cli._ROWS, 2):
+            with mock.patch.object(cli, "_ROWS", rows_per_block):
+                assert cli._csv_bytes(header, dense, few) == _reference_csv_bytes(header, full)
+                assert (cli._json_bytes(self.REPORT, [("rows", header, dense, few)])
+                        == _reference_json_bytes(self.REPORT, [("rows", header, full)]))
+
+    def test_default_field_grid_takes_the_integer_path(self):
+        # a slide back onto "%.15g" would keep the bytes and lose the speed
+        w = IncidentWave(1.0, math.pi)
+        grid = fields.total_field(w, Coupling.finite(1.0),
+                                  fields.GridSpec(-2.0, 2.0, 201, -2.0, 2.0, 201))
+        _, rows, _ = cli._field_rows(grid, fields.current_density(grid, k=1.0))
+        code, digits = cli._fixed_mantissas(rows.ravel())
+        assert np.count_nonzero(code >= 0) == len(digits) >= 0.95 * rows.size
 
 
 _EXTREMES = st.one_of(

@@ -29,7 +29,7 @@ NOT_POSITIVE = [0.0, -1.0]
 
 # (id, callable of the bad value, the bad values that parameter rejects)
 ARGUMENTS = [
-    ("Dispersion.k", kernel.Dispersion, NOT_POSITIVE),
+    ("Dispersion.k", kernel.Dispersion, NOT_POSITIVE + [1.35e154]),
     ("CutoffSpec.lam", kernel.CutoffSpec, NOT_POSITIVE),
     ("CutoffSpec.epsilon",
      lambda v: kernel.CutoffSpec(10.0, kernel.FINITE_EPSILON, v), NOT_POSITIVE),
@@ -74,6 +74,25 @@ CASES = [pytest.param(call, bad, id=f"{name}={bad!r}")
          for name, call, extra in ARGUMENTS
          for bad in NOT_REAL + NOT_FINITE + extra]
 
+NOT_COMPLEX = [None, "1", True, math.nan, complex(math.inf, 0.0)]
+
+# (id, callable of the bad value) for each validated complex argument
+COMPLEX_ARGUMENTS = [
+    ("Coupling.finite", Coupling.finite),
+    ("Coupling.bare.z", lambda v: Coupling.bare(v, 10.0)),
+    ("Coupling.renormalized.z", lambda v: Coupling.renormalized(v, 1.0)),
+    ("FamilyParams.b_plus", lambda v: FamilyParams(v, 0j)),
+    ("FamilyParams.b_minus", lambda v: FamilyParams(0j, v)),
+    ("renormalize_bare.z_bare", lambda v: transfer.renormalize_bare(v, 1.0, 1.0)),
+    ("flow_bare_coupling.z_tilde", lambda v: transfer.flow_bare_coupling(v, 1.0, 1.0)),
+    ("bare_amplitude_with_cutoff.z_bare",
+     lambda v: transfer.bare_amplitude_with_cutoff(W, v, 10.0)),
+    ("renormalized_b.params_sum", lambda v: singfree.renormalized_b(v, 10.0, D1)),
+]
+
+CASES += [pytest.param(call, bad, id=f"{name}={bad!r}")
+          for name, call in COMPLEX_ARGUMENTS for bad in NOT_COMPLEX]
+
 
 @pytest.mark.parametrize("call, bad", CASES)
 def test_bad_value_is_validation_error(call, bad):
@@ -94,6 +113,32 @@ def test_numpy_float_and_int_accepted():
         assert type(lam) is float and lam == 10.0
     assert transfer.flow_bare_coupling(1.0, 100, np.float64(1.0)) == \
         transfer.flow_bare_coupling(1.0, 100.0, 1.0)
+
+
+def test_numpy_complex_and_int_accepted():
+    for value in (2, np.complex128(2.0)):
+        z = Coupling.finite(value).value
+        assert type(z) is complex and z == 2.0
+    params = FamilyParams(np.complex128(1j), 3)
+    assert (params.b_plus, params.b_minus) == (1j, 3.0)
+    assert transfer.renormalize_bare(np.complex128(2.0), 10.0, 1.0) == \
+        transfer.renormalize_bare(2, 10.0, 1.0) == transfer.renormalize_bare(2.0, 10.0, 1.0)
+    assert transfer.flow_bare_coupling(np.complex128(1.0), 100.0, 1.0) == \
+        transfer.flow_bare_coupling(1, 100.0, 1.0) == transfer.flow_bare_coupling(1.0, 100.0, 1.0)
+    assert transfer.bare_amplitude_with_cutoff(W, 2, 10.0) == \
+        transfer.bare_amplitude_with_cutoff(W, np.complex128(2.0), 10.0)
+    assert singfree.renormalized_b(2, 10.0, D1) == \
+        singfree.renormalized_b(np.complex128(2.0), 10.0, D1)
+
+
+def test_largest_wavenumber_accepted():
+    # the cap is the last float whose square is finite
+    d = kernel.Dispersion(kernel.MAX_WAVENUMBER)
+    assert math.isfinite(d.k * d.k)
+    above = math.nextafter(d.k, math.inf)
+    assert math.isinf(above * above)
+    with pytest.raises(ValidationError, match="k\\*k overflows"):
+        kernel.Dispersion(above)
 
 
 def test_incident_wave_keeps_its_dispersion():
