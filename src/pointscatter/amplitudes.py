@@ -14,8 +14,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .errors import (OnShellAtomError, SupportMismatchError, ValidationError, finite_real,
-                     require_cutoff_above_k)
+from .errors import (OnShellAtomError, SupportMismatchError, ValidationError, finite_complex,
+                     finite_real, require_cutoff_above_k)
 from .kernel import CutoffSpec, Dispersion, regularized_h0_at_zero, varpi
 
 FULL_LINE = "full-line"
@@ -28,6 +28,11 @@ class Atom:
 
     location: float
     weight: complex
+
+    def __post_init__(self):
+        object.__setattr__(self, "location", finite_real("atom location", self.location))
+        # 0j + stores a zero part as +0, the sign any sum of weights gives it
+        object.__setattr__(self, "weight", 0j + finite_complex("atom weight", self.weight))
 
 
 @dataclass(frozen=True)
@@ -74,19 +79,15 @@ class GeneralizedAmplitude:
     def __post_init__(self):
         if self.support not in (FULL_LINE, BAND):
             raise ValidationError(f"unknown support {self.support!r}")
-        merged: dict[float, complex] = {}
+        merged: dict[float, Atom] = {}
         for atom in self.atoms:
-            if isinstance(atom, Atom):
-                loc, w = atom.location, atom.weight
-            else:
-                loc, w = atom
-            loc = float(loc)
-            if not math.isfinite(loc):
-                raise ValidationError(f"atom location must be finite, got {loc!r}")
-            merged[loc] = merged.get(loc, 0j) + complex(w)
-        canonical = tuple(Atom(loc, merged[loc]) for loc in sorted(merged))
-        object.__setattr__(self, "atoms", canonical)
-        object.__setattr__(self, "background", complex(self.background))
+            if not isinstance(atom, Atom):
+                atom = Atom(*atom)
+            if atom.location in merged:  # the sum is checked: it may overflow
+                atom = Atom(atom.location, merged[atom.location].weight + atom.weight)
+            merged[atom.location] = atom
+        object.__setattr__(self, "atoms", tuple(merged[loc] for loc in sorted(merged)))
+        object.__setattr__(self, "background", finite_complex("background", self.background))
 
 
 def zero_amplitude(support: str = FULL_LINE) -> GeneralizedAmplitude:

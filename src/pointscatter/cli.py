@@ -32,9 +32,10 @@ FAR_FIELD_NTHETA = 120
 
 MAX_GRID_NODES = 250_000
 """Largest ``field --grid`` node count nx*ny.  The rendered table is held in
-memory, about 0.65 KB per node as CSV and 1 KB as JSON, so a run at the cap
-peaks near 0.21 GB (CSV) or 0.29-0.33 GB (JSON) and takes 0.8-1.0 s or
-1.1-1.5 s on a 2-vCPU Xeon VM; the default grid has 40 401 nodes."""
+memory, about 135 bytes per node as CSV and 266 as JSON, and the render peaks
+near 2.6 and 2.3 times that: at the cap 88 MB (CSV) or 154 MB (JSON) by
+tracemalloc, in 0.46-0.47 s or 0.38-0.45 s on a 2-vCPU Xeon VM; the default
+grid has 40 401 nodes."""
 
 MAX_THETA_GRID = 10_000
 """Largest ``amplitude --theta-grid``.  The amplitude is isotropic, so a
@@ -177,6 +178,11 @@ def _parser() -> _Parser:
 # dense cells fill the other columns in order.  Each distinct value of a
 # ``few`` column is formatted once and its token reused.
 #
+# Tables render to bytes: every template and token is bytes, and a report's
+# pieces are joined once.  bytes % skips literal template text with memchr
+# and has fast paths for %s of bytes and %d of ints, where str % walks the
+# template one character at a time; literal text is most of a JSON row.
+#
 # A table with ``few`` (the field grid, tens of thousands of rows) renders in
 # blocks of rows, each in two % passes.  Most of its dense cells lie in
 # [1e-4, 1) in magnitude, where "%.15g" writes "[-]0." + zeros + 15 digits
@@ -198,7 +204,7 @@ def _split(x):
 
 _SCALE = 10.0 ** np.arange(18, 14, -1)  # 10^(14 - e) at e + 4, e = -4 ... -1: exact
 _SCALE_HI, _SCALE_LO = _split(_SCALE)
-_PREFIXES = [sign + "0." + "0" * zeros + "%d" for sign in ("", "-") for zeros in range(4)]
+_PREFIXES = [sign + b"0." + b"0" * zeros + b"%d" for sign in (b"", b"-") for zeros in range(4)]
 _ROWS = 1 << 12  # table rows per block: keeps each block's arrays and strings near 1 MB
 
 
@@ -235,21 +241,22 @@ def _fixed_mantissas(v: np.ndarray):
     return np.where(fixed, 4 * (v < 0) + 3 - decade, -1), digits
 
 
-def _fill_two_pass(row: str, sep: str, header, rows, few, tokens_of) -> str:
+def _fill_two_pass(row: bytes, sep: bytes, header, rows, few, tokens_of) -> list[bytes]:
     """The rows of a table with ``few``, each written by ``row`` (a "%s" per
-    cell) and joined by ``sep``, filled in blocks of ``_ROWS`` rows by two %
-    passes.  The first writes each cell as a ``few`` column's token, a fixed
-    dense cell's pattern or another dense cell's ``tokens_of`` token, all
-    gathered from one vocabulary by an integer code; the second fills in the
-    fixed cells' digits.  Blocks keep the peak memory of a large grid below
-    that of one "%.15g" pass over the whole table."""
+    cell) and joined by ``sep``, as pieces to join: blocks of ``_ROWS`` rows
+    with ``sep`` between them, each filled by two % passes.  The first writes
+    each cell as a ``few`` column's token, a fixed dense cell's pattern or
+    another dense cell's ``tokens_of`` token, all gathered from one
+    vocabulary by an integer code; the second fills in the fixed cells'
+    digits.  Blocks keep the peak memory of a large grid below that of one
+    "%.15g" pass over the whole table."""
     dense = np.asarray(rows, dtype=float)
     columns = [i for i in range(len(header)) if i not in few]
     few_tokens, few_codes = [], {}
     for i, (values, index) in few.items():
         few_codes[i] = len(few_tokens) + np.asarray(index)
         few_tokens += tokens_of(np.asarray(values, dtype=float))
-    blocks = []
+    pieces = []
     for start in range(0, len(dense), _ROWS):
         block = dense[start:start + _ROWS]
         flat = block.ravel()
@@ -264,28 +271,27 @@ def _fill_two_pass(row: str, sep: str, header, rows, few, tokens_of) -> str:
             codes[:, i] = column[start:start + _ROWS]
         cells = np.array(vocabulary, dtype=object)[codes.ravel()]
         text = sep.join([row] * len(block)) % tuple(cells.tolist())
-        blocks.append(text % tuple(digits.tolist()))
-    return sep.join(blocks)
+        pieces += (sep, text % tuple(digits.tolist()))
+    return pieces[1:]
 
 
-def _csv_tokens(values) -> list[str]:
-    return ["%.15g" % v for v in values.tolist()]
+def _csv_tokens(values) -> list[bytes]:
+    return [b"%.15g" % v for v in values.tolist()]
 
 
 def _csv_bytes(header, rows, few=None) -> bytes:
+    head = (",".join(header) + "\r\n").encode("utf-8")
     if few:
-        body = _fill_two_pass(",".join(["%s"] * len(header)) + "\r\n", "",
-                              header, rows, few, _csv_tokens)
-    else:
-        template = (",".join(["%.15g"] * len(header)) + "\r\n") * len(rows)
-        body = template % tuple(np.asarray(rows, dtype=float).ravel().tolist())
-    return (",".join(header) + "\r\n" + body).encode("utf-8")
+        return b"".join([head, *_fill_two_pass(b",".join([b"%s"] * len(header)) + b"\r\n", b"",
+                                               header, rows, few, _csv_tokens)])
+    template = (b",".join([b"%.15g"] * len(header)) + b"\r\n") * len(rows)
+    return head + template % tuple(np.asarray(rows, dtype=float).ravel().tolist())
 
 
 _JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
-def _json_tokens(table) -> list[str]:
+def _json_tokens(table) -> list[bytes]:
     """Each cell rounded to 15 significant digits, as json.dumps writes it.
 
     A "%.15g" token already reads as repr(float(token)), which is what
@@ -296,7 +302,7 @@ def _json_tokens(table) -> list[str]:
     harmless others: every |v| >= 5e13 passes |v - rint(v)| <= 1e-14 |v|.
     """
     flat = table.ravel()
-    tokens = ("%.15g\n" * flat.size % tuple(flat.tolist())).split("\n")
+    tokens = (b"%.15g\n" * flat.size % tuple(flat.tolist())).split(b"\n")
     tokens.pop()
     finite = np.isfinite(flat)
     size = np.abs(flat)
@@ -304,36 +310,38 @@ def _json_tokens(table) -> list[str]:
     slow = ~finite | (size < 1e-290) | (np.abs(v - np.rint(v)) <= 1e-14 * size)
     for i in np.flatnonzero(slow).tolist():
         text = repr(float(tokens[i]))
-        tokens[i] = _JSON_NONFINITE.get(text, text)
+        tokens[i] = _JSON_NONFINITE.get(text, text).encode("ascii")
     return tokens
 
 
-def _json_table(header, rows, few=None) -> str:
+def _json_table(header, rows, few=None) -> list[bytes]:
     """The table as json.dumps(indent=2) writes a list of {name: cell} row
-    objects one level inside a report, filled in one % pass (with ``few``, two
-    per block of rows)."""
+    objects one level inside a report, as pieces to join, filled in one %
+    pass (with ``few``, two per block of rows)."""
     n = len(rows)
     if n == 0:
-        return "[]"
+        return [b"[]"]
     # a literal "%" of a name must survive each % pass
-    percent = "%%%%" if few else "%%"
-    members = ",\n".join(f"      {json.dumps(name).replace('%', percent)}: %s" for name in header)
-    row = "    {\n" + members + "\n    }"
+    percent = b"%%%%" if few else b"%%"
+    members = b",\n".join(b"      %s: %%s" % json.dumps(name).encode("ascii").replace(b"%", percent)
+                          for name in header)
+    row = b"    {\n" + members + b"\n    }"
     if few:
-        body = _fill_two_pass(row, ",\n", header, rows, few, _json_tokens)
+        body = _fill_two_pass(row, b",\n", header, rows, few, _json_tokens)
     else:
-        body = ",\n".join([row] * n) % tuple(_json_tokens(np.asarray(rows, dtype=float)))
-    return "[\n" + body + "\n  ]"
+        body = [b",\n".join([row] * n) % tuple(_json_tokens(np.asarray(rows, dtype=float)))]
+    return [b"[\n", *body, b"\n  ]"]
 
 
 def _json_bytes(report, tables=()) -> bytes:
     """The non-empty ``report`` as json.dumps(indent=2) writes it, with each
     (key, header, rows[, few]) of ``tables`` appended as a list of row objects."""
     text = json.dumps(report, indent=2)
-    if tables:
-        text = text[:-2] + "".join(f",\n  {json.dumps(key)}: {_json_table(*table)}"
-                                   for key, *table in tables) + "\n}"
-    return (text + "\n").encode("utf-8")
+    pieces = [text[:-2].encode("ascii")]  # the report less its closing "\n}"
+    for key, *table in tables:
+        pieces += (b",\n  %s: " % json.dumps(key).encode("ascii"), *_json_table(*table))
+    pieces.append(b"\n}\n")
+    return b"".join(pieces)
 
 
 def _table(args, header, rows, report):

@@ -92,9 +92,11 @@ K_MATRIX.flags.writeable = False
 
 
 def _amplitude_pole_denominator(z: complex) -> complex:
-    """z^{-1} + i/4; vanishing marks the excluded coupling z = 4i."""
+    """z^{-1} + i/4; vanishing marks the excluded coupling z = 4i.  So does a
+    denominator too small to invert, such as that of 4i - 1e-320: the
+    amplitude overflows there."""
     den = 1.0 / z + 0.25j
-    if den == 0:
+    if den == 0 or not cmath.isfinite(1.0 / den):
         raise PoleError(f"coupling {z!r} sits on the amplitude pole z = 4i")
     return den
 

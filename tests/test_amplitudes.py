@@ -37,6 +37,12 @@ class TestConstruction:
         a = amp.GeneralizedAmplitude(((0.7, 1.0), (-0.2, 1.0), (0.1, 1.0)))
         assert [at.location for at in a.atoms] == [-0.2, 0.1, 0.7]
 
+    def test_zero_weight_parts_are_positive(self):
+        # a lone atom keeps the weight a merge would give it: 0j + w
+        a = amp.GeneralizedAmplitude(((0.5, complex(-0.0, -0.0)),))
+        w = a.atoms[0].weight
+        assert (math.copysign(1.0, w.real), math.copysign(1.0, w.imag)) == (1.0, 1.0)
+
     def test_zero_weight_atoms_are_kept(self):
         a = amp.GeneralizedAmplitude(((1.0, 0j),), 0j, amp.FULL_LINE)
         assert len(a.atoms) == 1
@@ -48,6 +54,20 @@ class TestConstruction:
     def test_nonfinite_location_rejected(self):
         with pytest.raises(ValidationError):
             amp.GeneralizedAmplitude(((math.inf, 1.0),))
+
+    @pytest.mark.parametrize("build", [
+        lambda: amp.GeneralizedAmplitude((), None, amp.BAND),
+        lambda: amp.GeneralizedAmplitude((), "x"),
+        lambda: amp.GeneralizedAmplitude((), math.nan),
+        lambda: amp.GeneralizedAmplitude(((None, 1.0),)),
+        lambda: amp.Atom(None, "x"),
+        lambda: amp.GeneralizedAmplitude(((0.5, 1e308), (0.5, 1e308))),
+    ], ids=["none-background", "str-background", "nan-background", "none-location", "atom",
+            "merged-weight-overflow"])
+    def test_bad_arguments_rejected(self, build):
+        # a typed error naming the argument, not a bare TypeError or ValueError
+        with pytest.raises(ValidationError):
+            build()
 
 
 class TestAdd:

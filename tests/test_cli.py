@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 from unittest import mock
 
@@ -61,6 +62,13 @@ class TestAmplitudeCommand:
         assert out == ""
         assert err.count("\n") == 1
         assert err.startswith(cli.ERROR_PREFIX)
+        assert "PoleError" in err
+
+    @pytest.mark.parametrize("command", ["amplitude", "flow", "family", "field"])
+    def test_coupling_within_rounding_of_pole(self, command, capsys):
+        # 1/z + i/4 is a subnormal whose inverse overflows
+        code, out, err = run([command, "--z=-1e-320,4"], capsys)
+        assert (code, out, err.count("\n")) == (1, "", 1)
         assert "PoleError" in err
 
     def test_theta_grid_hitting_forbidden_angle(self, capsys):
@@ -389,12 +397,26 @@ class TestDeterminism:
             assert code == 0
         assert paths[0].read_bytes() == paths[1].read_bytes()
 
-    def test_render_command_agrees_with_file_output(self, tmp_path, capsys):
-        argv = ["amplitude", "--theta-grid", "4"]
-        payload = cli.render_command(argv)
-        out_path = tmp_path / "a.csv"
-        run(argv + ["--out", str(out_path)], capsys)
-        assert payload == out_path.read_bytes()
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("argv", [
+        ["amplitude", "--theta-grid", "4"],
+        ["flow", "--lambda", "10,100"],
+        ["family", "--lambda", "2,10"],
+        ["field", "--grid=-0.1,0.1,21,-0.1,0.1,21"],
+        ["field", "--grid=-0.1,0.1,21,-0.1,0.1,21", "--far-field"],
+    ], ids=["amplitude", "flow", "family", "field", "field-far"])
+    def test_render_command_agrees_with_file_output(self, argv, fmt, tmp_path, capsys):
+        argv = argv + [f"--format={fmt}"]
+        out_path = tmp_path / "a.out"
+        assert run(argv + ["--out", str(out_path)], capsys)[0] == 0
+        written = out_path.read_bytes()
+        if "--far-field" in argv and fmt == "csv":
+            # two files, so no stdout form; render_command writes nothing
+            assert cli.render_command(argv + ["--out", str(tmp_path / "b.out")]) == written
+            return
+        assert cli.render_command(argv) == written
+        code, out, _ = run(argv, capsys)
+        assert (code, out.encode("utf-8")) == (0, written)
 
     def test_csv_uses_crlf_rows(self):
         payload = cli.render_command(["amplitude", "--theta-grid", "4"])
@@ -604,6 +626,14 @@ class TestFieldBytesAgainstCellReference:
             written.append(far_path.read_bytes())
         assert written == _reference_field_payloads(k, theta0, z, grid, fmt)
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    # 12 rows: three whole blocks, one whole block, a whole block and one row
+    @pytest.mark.parametrize("rows_per_block", [4, 12, 11])
+    def test_block_boundaries(self, rows_per_block, fmt, tmp_path, capsys):
+        with mock.patch.object(cli, "_ROWS", rows_per_block):
+            self.test_field_and_far_field_bytes(1.3, 3.5, -3 + 0j, (-0.01, 0.01, 3, 0.0, 0.03, 4),
+                                                fmt, tmp_path, capsys)
+
 
 def _reference_json_bytes(report, tables):
     """json.dumps(indent=2) over one {name: cell} dict per row, each cell
@@ -646,6 +676,20 @@ class TestJsonTableBytes:
     def test_matches_dict_reference(self, first, second):
         tables = [("rows", *first), ("far_field", *second)]
         assert cli._json_bytes(self.REPORT, tables) == _reference_json_bytes(self.REPORT, tables)
+
+
+def test_json_render_peak_memory():
+    # the rendered pieces are joined once: the peak is the pieces plus the
+    # payload and one block's work, not several copies of the whole text
+    argv = ["field", "--format=json", "--far-field"]
+    cli.render_command(argv)  # first-use imports stay out of the peak
+    tracemalloc.start()
+    try:
+        payload = cli.render_command(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.8 * len(payload)
 
 
 _CELLS = st.one_of(
