@@ -24,7 +24,6 @@ from .amplitudes import (
 from .errors import (
     ConvergenceError,
     DomainError,
-    ForwardAngleError,
     GridCoarseWarning,
     OnShellAtomError,
     PointScatterError,
@@ -37,7 +36,6 @@ from .fields import (
     CurrentGrid,
     FieldGrid,
     GridSpec,
-    cross_section,
     current_density,
     current_divergence,
     far_field_circle_residuals,
@@ -64,10 +62,8 @@ from .singfree import (
     FamilyParams,
     FRepresentation,
     absorption_condition,
-    edge_annihilation_check,
     family_amplitude,
     family_solution,
-    position_scheme_offset,
     regularized_h0_position_scheme,
     renormalized_b,
     renormalized_b_limit,
@@ -75,24 +71,19 @@ from .singfree import (
 from .specfun import (
     EULER_GAMMA,
     bessel_j0,
-    bessel_j0_array,
     bessel_y0,
-    bessel_y0_array,
     hankel1_0,
     hankel1_0_array,
     hankel1_0_small_x_expansion,
 )
 from .transfer import (
     Coupling,
-    DeltaHamiltonianKernel,
     FundamentalSolution,
-    K_MATRIX,
     TransferEntry,
     auxiliary_entries,
     bare_amplitude_with_cutoff,
     flow_bare_coupling,
     fundamental_entries,
-    hamiltonian_kernel,
     renormalize_bare,
     scattering_amplitude_dfss,
     scattering_amplitude_renormalized,

@@ -422,13 +422,13 @@ def cmd_flow(args):
                      f_bare.real, f_bare.imag, f_ren.real, f_ren.imag,
                      abs(f_bare - f_ren), b_sum.real, b_sum.imag,
                      b_tilde.real, b_tilde.imag])
+    b_limit = singfree.renormalized_b_limit(z_finite)
     return _table(args, header, rows, {
         "command": "flow",
         "parameters": {"k": _json_float(w.k), "theta0": _json_float(w.theta0),
                        "z_tilde": [_json_float(z_tilde.real), _json_float(z_tilde.imag)],
                        "mu": _json_float(mu)},
-        "b_tilde_limit": [_json_float(singfree.renormalized_b_limit(z_finite).real),
-                          _json_float(singfree.renormalized_b_limit(z_finite).imag)],
+        "b_tilde_limit": [_json_float(b_limit.real), _json_float(b_limit.imag)],
     })
 
 
@@ -560,10 +560,19 @@ def _run_verify(args) -> int:
 
 
 def _write(args, outputs) -> None:
-    """Write each (suffix, payload) to --out plus suffix, or all to stdout."""
+    """Write each (suffix, payload) to --out plus suffix, or all to stdout.
+
+    The bytes go to stdout's binary buffer, after whatever text it holds; only
+    a text-only stdout (such as a StringIO) gets a decoded copy.
+    """
     for suffix, payload in outputs:
         if args.out is None:
-            sys.stdout.write(payload.decode("utf-8"))
+            buffer = getattr(sys.stdout, "buffer", None)
+            if buffer is None:
+                sys.stdout.write(payload.decode("utf-8"))
+            else:
+                sys.stdout.flush()
+                buffer.write(payload)
         else:
             with open(args.out + (suffix or ""), "wb") as fh:
                 fh.write(payload)

@@ -1,9 +1,9 @@
 """Typed error surface shared across the library.
 
 Divergences of the underlying scattering problem are deliberately surfaced as
-distinct exception types (pole of the amplitude, on-shell Dirac atom, forward
-delta beam) rather than as floating-point garbage.  The argument rules that
-every module shares live here too, so each is written once.
+distinct exception types (pole of the amplitude, on-shell Dirac atom) rather
+than as floating-point garbage.  The argument rules that every module shares
+live here too, so each is written once.
 """
 
 import cmath
@@ -63,12 +63,6 @@ class DomainError(ValidationError):
 class PoleError(PointScatterError):
     """A coupling denominator vanished (the amplitude pole, or a degenerate
     renormalization map).  No bound-state interpretation is attempted."""
-
-
-class ForwardAngleError(PointScatterError):
-    """Scattering angle coincides with the incidence angle.  The amplitude
-    there carries the unscattered delta beam, which is reported symbolically
-    and never as a finite number."""
 
 
 class OnShellAtomError(PointScatterError):

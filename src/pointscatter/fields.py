@@ -1,4 +1,4 @@
-"""Real-space observables: wavefields, probability currents, cross sections.
+"""Real-space observables: wavefields, probability currents, far-field samples.
 
 The total field is the incident plane wave plus c'/(4 pi) times the outgoing
 Hankel function; it genuinely diverges at the scatterer, so grid points with
@@ -24,14 +24,8 @@ from .errors import GridCoarseWarning, ValidationError, finite_real
 from .kernel import FOUR_PI, TWO_PI
 from .singfree import FamilyParams
 from .specfun import EULER_GAMMA, hankel1_0_array
-from .transfer import (
-    Coupling,
-    _amplitude_pole_denominator,
-    _closed_form_amplitude,
-    _validate_scattering_angle,
-    scattering_amplitude_dfss,
-    solve_fundamental,
-)
+from .transfer import (Coupling, _amplitude_pole_denominator, _closed_form_amplitude,
+                       solve_fundamental)
 
 ORIGIN_EXCLUSION_KR = 1e-6
 
@@ -283,11 +277,3 @@ def far_field_circle_residuals(w: IncidentWave, z: Coupling, kr_values,
     return [FarFieldResidual(s.kr, float(s.residual.max()),
                              float(s.residual.max()) / s.scale)
             for s in far_field_samples(w, z, kr_values, n_theta)]
-
-
-def cross_section(w: IncidentWave, z: Coupling, theta_grid):
-    """Differential cross section |f(theta)|^2 per angle; constant for the
-    point scatterer, tabulated anyway for the report surface."""
-    thetas = [_validate_scattering_angle(t, w.theta0) for t in theta_grid]
-    f = scattering_amplitude_dfss(w, z) if thetas else None
-    return [(theta, abs(f) ** 2) for theta in thetas]

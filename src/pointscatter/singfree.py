@@ -12,8 +12,8 @@ infinite-cutoff limit.
 
 The divergent H0(0) is always represented by the sharp-momentum-cutoff value
 from ``kernel``; the position-space regulator (cutoff = 1/r) differs from it
-by the constant 2 i gamma / pi, exposed below, so limits taken in either
-scheme can be compared without a silent O(1) offset.
+by the constant 2 i gamma / pi (``regularized_h0_position_scheme``), so
+limits taken in either scheme can be compared without a silent O(1) offset.
 """
 
 from __future__ import annotations
@@ -22,11 +22,11 @@ import cmath
 import math
 from dataclasses import dataclass
 
-from .amplitudes import Atom, GeneralizedAmplitude, FULL_LINE, IncidentWave, project_band
+from .amplitudes import Atom, GeneralizedAmplitude, FULL_LINE, IncidentWave
 from .errors import (PoleError, PointScatterError, ValidationError, finite_complex,
                      finite_real, require_cutoff_above_k)
 from .kernel import FOUR_PI, TWO_PI, CutoffSpec, Dispersion, regularized_h0_at_zero, varpi
-from .specfun import EULER_GAMMA, hankel1_0
+from .specfun import hankel1_0
 from .transfer import Coupling, FINITE, _amplitude, _amplitude_pole_denominator, _residual_scale
 
 
@@ -164,8 +164,7 @@ def absorption_condition(z: Coupling, lam: float, d: Dispersion) -> complex:
     """
     if z.kind != FINITE:
         raise ValidationError("the absorption condition takes a finite coupling")
-    if z.value == 4j:
-        raise PoleError("coupling 4i is the amplitude pole; absorption undefined")
+    _amplitude_pole_denominator(z.value)  # PoleError at and next to z = 4i
     h_reg = regularized_h0_at_zero(CutoffSpec(lam), d)
     return (h_reg - 1.0) / (1.0 - 4j / z.value)
 
@@ -179,43 +178,19 @@ def renormalized_b(params_sum: complex, lam: float, d: Dispersion) -> complex:
 
 def renormalized_b_limit(z: Coupling) -> complex:
     """Infinite-cutoff limit of the renormalized edge weight: z / (z - 4i)."""
-    if z.value == 4j:
-        raise PoleError("coupling 4i is the amplitude pole")
+    _amplitude_pole_denominator(z.value)  # PoleError at and next to z = 4i
     return z.value / (z.value - 4j)
-
-
-def edge_annihilation_check(params: FamilyParams, d: Dispersion) -> float:
-    """Largest modulus the edge atoms contribute to B- = varpi F and to its
-    band projection.  Exactly zero: the product rule is applied per atom, so
-    no cancellation between b+ and b- is involved.
-    """
-    f_repr = FRepresentation(0.0, d.k, params.b_plus, params.b_minus, 0j)
-    b_minus = f_repr.times_varpi(d)
-    residual = 0.0
-    for atom in b_minus.atoms:
-        if abs(atom.location) == d.k:
-            residual = max(residual, abs(atom.weight))
-    projected = project_band(b_minus, d)
-    for atom in projected.atoms:
-        if abs(atom.location) >= d.k:
-            residual = max(residual, abs(atom.weight))
-    return residual
 
 
 def regularized_h0_position_scheme(lam: float, d: Dispersion) -> complex:
     """Position-space regularization of H0(0): the value H0^(1)(k r) at r = 1/lam.
 
     Differs from the sharp momentum cutoff ``kernel.regularized_h0_at_zero``
-    by the constant ``position_scheme_offset()`` as lam grows; limits taken
-    in the two schemes disagree by exactly that O(1) constant.
+    by the constant 2 i gamma / pi as lam grows; limits taken in the two
+    schemes disagree by exactly that O(1) constant.
     """
     lam = require_cutoff_above_k(finite_real("cutoff", lam), d.k)
     return hankel1_0(d.k / lam)
-
-
-def position_scheme_offset() -> complex:
-    """Constant by which the position-space regulator exceeds the momentum one."""
-    return complex(0.0, 2.0 * EULER_GAMMA / math.pi)
 
 
 def family_c_matches_fundamental(w: IncidentWave, z: Coupling, lam: float) -> float:

@@ -3,8 +3,8 @@
 Everything downstream (Green functions, regularized limits, wavefields) is
 assembled from these three functions.  Values come from ``scipy.special.j0``
 and ``y0``; H0(1) is built as J0 + i Y0 from those same two values, so the
-identity holds exactly, and the ``*_array`` grid-fill variants equal the
-scalars exactly.  Arguments follow "positive real in, value out", else
+identity holds exactly, and the grid-fill ``hankel1_0_array`` equals the
+scalar exactly.  Arguments follow "positive real in, value out", else
 ``DomainError``.  H0(1) at exactly zero is a hard error by design: the
 logarithmic divergence there must be handled explicitly by the caller (see
 ``kernel.regularized_h0_at_zero``).
@@ -74,27 +74,11 @@ def hankel1_0_small_x_expansion(x: float) -> complex:
     return complex(1.0, (2.0 / math.pi) * (math.log(0.5 * x) + EULER_GAMMA))
 
 
-def _as_checked_array(x, allow_zero):
+def hankel1_0_array(x) -> np.ndarray:
+    """Elementwise ``hankel1_0`` for grid fills."""
     arr = np.asarray(x, dtype=float)
     if not np.all(np.isfinite(arr)):
         raise DomainError("array argument contains non-finite entries")
-    if np.any(arr < 0.0) or (not allow_zero and np.any(arr == 0.0)):
-        bound = "x >= 0" if allow_zero else "x > 0"
-        raise DomainError(f"array argument out of domain ({bound})")
-    return arr
-
-
-def bessel_j0_array(x) -> np.ndarray:
-    """Elementwise ``bessel_j0`` for grid fills."""
-    return scipy.special.j0(_as_checked_array(x, allow_zero=True))
-
-
-def bessel_y0_array(x) -> np.ndarray:
-    """Elementwise ``bessel_y0`` for grid fills."""
-    return scipy.special.y0(_as_checked_array(x, allow_zero=False))
-
-
-def hankel1_0_array(x) -> np.ndarray:
-    """Elementwise ``hankel1_0`` for grid fills."""
-    arr = _as_checked_array(x, allow_zero=False)
+    if np.any(arr <= 0.0):
+        raise DomainError("array argument out of domain (x > 0)")
     return scipy.special.j0(arr) + 1j * scipy.special.y0(arr)

@@ -20,8 +20,6 @@ import cmath
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .amplitudes import (
     BAND,
     BAND_DOMAIN,
@@ -33,34 +31,31 @@ from .amplitudes import (
     integrate_inverse_varpi,
     scale,
 )
-from .errors import (ForwardAngleError, PoleError, PointScatterError, ValidationError,
-                     finite_complex, finite_real, require_cutoff_above_k)
+from .errors import (PoleError, PointScatterError, ValidationError, finite_complex,
+                     finite_real, require_cutoff_above_k)
 from .kernel import FOUR_PI, CutoffSpec, Dispersion, green_cutoff_zero
 
 SQRT_2PI = math.sqrt(2.0 * math.pi)
 SQRT_8PI = math.sqrt(8.0 * math.pi)
 
 FINITE = "finite"
-BARE = "bare"
 RENORMALIZED = "renormalized"
 
 
 @dataclass(frozen=True)
 class Coupling:
-    """Coupling constant in one of three interpretations.
+    """Coupling constant in one of two interpretations.
 
     finite        -- the physical coupling of the singularity-free route;
-    bare          -- cutoff-dependent, meaningful only together with lam;
     renormalized  -- scheme/scale-dependent, carries the momentum scale mu.
     """
 
     kind: str
     value: complex
-    lam: float | None = None
     mu: float | None = None
 
     def __post_init__(self):
-        if self.kind not in (FINITE, BARE, RENORMALIZED):
+        if self.kind not in (FINITE, RENORMALIZED):
             raise ValidationError(f"unknown coupling kind {self.kind!r}")
         value = finite_complex("coupling", self.value)
         if value == 0:
@@ -68,9 +63,7 @@ class Coupling:
         if not cmath.isfinite(1.0 / value):
             raise ValidationError(f"coupling {value!r} has no finite inverse")
         object.__setattr__(self, "value", value)
-        if self.kind == BARE:
-            object.__setattr__(self, "lam", finite_real("cutoff", self.lam, above=0.0))
-        elif self.kind == RENORMALIZED:
+        if self.kind == RENORMALIZED:
             object.__setattr__(self, "mu", finite_real("scale mu", self.mu, above=0.0))
 
     @classmethod
@@ -78,17 +71,8 @@ class Coupling:
         return cls(FINITE, z)
 
     @classmethod
-    def bare(cls, z: complex, lam: float) -> "Coupling":
-        return cls(BARE, z, lam=lam)
-
-    @classmethod
     def renormalized(cls, z: complex, mu: float) -> "Coupling":
         return cls(RENORMALIZED, z, mu=mu)
-
-
-K_MATRIX = np.array([[1.0, 1.0], [-1.0, -1.0]], dtype=complex)
-"""The fixed nilpotent matrix K = sigma_3 + i sigma_2 = [[1, 1], [-1, -1]]."""
-K_MATRIX.flags.writeable = False
 
 
 def _amplitude_pole_denominator(z: complex) -> complex:
@@ -129,52 +113,11 @@ class TransferEntry:
         return add(base, GeneralizedAmplitude((), smeared, phi.support))
 
 
-@dataclass(frozen=True)
-class DeltaHamiltonianKernel:
-    """x-integrated action of the delta-potential Hamiltonian (1/2) v varpi^-1 K.
-
-    The potential smear is rank one -- (z/(2 pi)) times the plain integral --
-    and K mixes the two components into (s, -s) form, so applying the kernel
-    twice feeds it an amplitude pair summing to zero: the kernel is nilpotent
-    as an exact algebraic fact, not to a tolerance.
-    """
-
-    coupling_value: complex
-    domain: IntegrationDomain
-
-    def apply(self, pair, d: Dispersion):
-        xi_plus, xi_minus = pair
-        total = add(xi_plus, xi_minus)
-        c = (self.coupling_value / FOUR_PI) * integrate_inverse_varpi(total, self.domain, d)
-        support = xi_plus.support
-        return (GeneralizedAmplitude((), c, support),
-                GeneralizedAmplitude((), -c, support))
-
-    def nilpotency_residual(self, pair, d: Dispersion) -> float:
-        """Magnitude of the kernel applied twice; exactly zero for any input."""
-        out_plus, out_minus = self.apply(self.apply(pair, d), d)
-        return max(_magnitude(out_plus), _magnitude(out_minus))
-
-
 def _magnitude(a: GeneralizedAmplitude) -> float:
     m = abs(a.background)
     for atom in a.atoms:
         m = max(m, abs(atom.weight))
     return m
-
-
-def hamiltonian_kernel(z: Coupling, domain: IntegrationDomain | None = None) -> DeltaHamiltonianKernel:
-    """Factored delta-potential Hamiltonian for a finite or bare coupling.
-
-    A bare coupling pins the smear integral to its own cutoff line; a finite
-    coupling defaults to the band (the projected action used by the
-    fundamental route).
-    """
-    if z.kind == RENORMALIZED:
-        raise ValidationError("the Hamiltonian kernel takes a finite or bare coupling")
-    if domain is None:
-        domain = cutoff_line(z.lam) if z.kind == BARE else BAND_DOMAIN
-    return DeltaHamiltonianKernel(z.value, domain)
 
 
 def auxiliary_entries(z: Coupling, lam: float, d: Dispersion):
@@ -248,29 +191,11 @@ def solve_fundamental(w: IncidentWave, z: Coupling) -> FundamentalSolution:
     return FundamentalSolution(b_minus, a_plus, c_prime)
 
 
-def _validate_scattering_angle(theta: float, theta0: float) -> float:
-    """``theta`` as a float if it is an admissible scattering angle."""
-    theta = finite_real("scattering angle", theta)
-    if not (-0.5 * math.pi < theta < 1.5 * math.pi):
-        raise ValidationError(
-            f"scattering angle must lie in (-pi/2, pi/2) u (pi/2, 3pi/2), got {theta!r}")
-    if theta == 0.5 * math.pi or theta == -0.5 * math.pi or theta == 1.5 * math.pi:
-        raise ValidationError(
-            f"grazing angle {theta!r} excluded (varpi vanishes there)")
-    if theta == theta0:
-        raise ForwardAngleError(
-            f"theta = theta0 = {theta!r}: the forward direction carries the "
-            "unscattered delta beam -2 pi delta(theta - theta0), reported "
-            "symbolically only")
-    return theta
-
-
 def scattering_amplitude_dfss(w: IncidentWave, z: Coupling) -> complex:
     """Scattering amplitude from the fundamental transfer matrix.
 
     Isotropic by construction: f = -(1/sqrt(8 pi)) / (z^{-1} + i/4) at every
-    scattering angle, so it takes none (``fields.cross_section`` tabulates it
-    over checked angles).  Both extraction paths (transmission-side A+ and
+    scattering angle, so it takes none.  Both extraction paths (transmission-side A+ and
     reflection-side B- background, the delta beam removed symbolically) are
     evaluated and must agree to 1e-14 max(1, |c'|, S) before the value is
     returned, with S from ``_residual_scale(z, c')``.  The guard bounds

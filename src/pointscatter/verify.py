@@ -62,36 +62,13 @@ def _oracle_prec(x: float) -> int:
     return 80 + int(x / math.log(10)) + 5
 
 
-def oracle_j0(x: float, prec: int | None = None) -> Decimal:
-    """J0 by its Maclaurin series in high-precision decimal arithmetic."""
-    if prec is None:
-        prec = _oracle_prec(x)
-    with localcontext() as ctx:
-        ctx.prec = prec
-        stop = Decimal(10) ** (-(prec - 20))
-        q = Decimal(x) * Decimal(x) / 4
-        term = Decimal(1)
-        total = Decimal(1)
-        m = 0
-        while True:
-            m += 1
-            term = term * q / (m * m)
-            total += term if m % 2 == 0 else -term
-            if m > 4 and abs(term) < stop:
-                break
-            if m > 2000:
-                raise RuntimeError("oracle series failed to converge")
-        return total
-
-
 def oracle_j0_y0(x: float, prec: int | None = None) -> tuple[Decimal, Decimal]:
     """J0 and Y0 from one pass over the Maclaurin terms.
 
     Y0 = (2/pi)[(ln(x/2)+gamma) J0 + harmonic companion series].  The pass
-    stops on the companion term, never smaller than the J0 term; the J0 terms
-    it adds past the stop of ``oracle_j0`` are below 10^-(prec-20), so J0
-    rounds to the same float.  ln(x/2) is taken at the 50 digits that pi and
-    gamma carry.
+    stops once the companion term falls below 10^-(prec-20); that term is
+    never smaller than the J0 term, so the J0 sum has converged too.  ln(x/2)
+    is taken at the 50 digits that pi and gamma carry.
     """
     if prec is None:
         prec = _oracle_prec(x)
@@ -117,28 +94,6 @@ def oracle_j0_y0(x: float, prec: int | None = None) -> tuple[Decimal, Decimal]:
                 raise RuntimeError("oracle series failed to converge")
         log_part = (Decimal(x) / 2).ln(Context(prec=50)) + _GAMMA_50
         return j0, (2 / _PI_50) * (log_part * j0 + total)
-
-
-def oracle_y0(x: float, prec: int | None = None) -> Decimal:
-    """Y0 via (2/pi)[(ln(x/2)+gamma) J0 + harmonic companion series]."""
-    return oracle_j0_y0(x, prec)[1]
-
-
-def oracle_j0_zero(bracket_lo: float, bracket_hi: float, prec: int = 60) -> float:
-    """First-kind zero located by bisection on the decimal series oracle."""
-    lo, hi = bracket_lo, bracket_hi
-    flo = oracle_j0(lo, prec)
-    if flo == 0:
-        return lo
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        if oracle_j0(mid, prec) * flo > 0:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo < 1e-14:
-            break
-    return 0.5 * (lo + hi)
 
 
 # ---------------------------------------------------------------------------

@@ -678,18 +678,29 @@ class TestJsonTableBytes:
         assert cli._json_bytes(self.REPORT, tables) == _reference_json_bytes(self.REPORT, tables)
 
 
-def test_json_render_peak_memory():
-    # the rendered pieces are joined once: the peak is the pieces plus the
-    # payload and one block's work, not several copies of the whole text
-    argv = ["field", "--format=json", "--far-field"]
-    cli.render_command(argv)  # first-use imports stay out of the peak
+def _traced_peak(call, argv):
+    """call(argv) and tracemalloc's peak over it."""
     tracemalloc.start()
     try:
-        payload = cli.render_command(argv)
-        peak = tracemalloc.get_traced_memory()[1]
+        return call(argv), tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 2.8 * len(payload)
+
+
+def test_json_render_peak_memory(monkeypatch):
+    # the rendered pieces are joined once: the peak is the pieces plus the
+    # payload and one block's work, not several copies of the whole text;
+    # main() writes those bytes to stdout's buffer without a decoded copy
+    argv = ["field", "--format=json", "--far-field"]
+    cli.render_command(argv)  # first-use imports stay out of the peak
+    stdout = io.TextIOWrapper(io.BytesIO(), encoding="utf-8")
+    monkeypatch.setattr(sys, "stdout", stdout)
+    payload, render_peak = _traced_peak(cli.render_command, argv)
+    code, main_peak = _traced_peak(cli.main, argv)
+    stdout.flush()
+    assert code == 0 and stdout.buffer.getvalue() == payload
+    assert render_peak < 2.8 * len(payload)
+    assert main_peak < 2.8 * len(payload)
 
 
 _CELLS = st.one_of(

@@ -6,11 +6,7 @@ import pytest
 
 from pointscatter import amplitudes as amp
 from pointscatter import fields, transfer
-from pointscatter.errors import (
-    ForwardAngleError,
-    GridCoarseWarning,
-    ValidationError,
-)
+from pointscatter.errors import GridCoarseWarning, ValidationError
 from pointscatter.fields import GridSpec
 from pointscatter.singfree import FamilyParams
 from pointscatter.transfer import Coupling
@@ -195,32 +191,3 @@ class TestCurrentDensity:
         cur = fields.current_density(grid, k=1.0)
         assert not cur.valid_mask[0, :].any()
         assert np.isnan(cur.jx[0, 0])
-
-
-class TestCrossSection:
-    def test_frozen_constant_value(self):
-        table = fields.cross_section(W, Z1, [0.1, 0.4, 2.0, 3.0])
-        assert all(abs(s - 0.03744822190397538) < 1e-15 for _, s in table)
-
-    def test_isotropy_spread_exactly_zero(self):
-        table = fields.cross_section(W, Z1, np.linspace(-1.0, 1.0, 9))
-        values = {s for _, s in table}
-        assert len(values) == 1
-
-    def test_real_coupling_closed_form(self):
-        for zv in (0.5, 3.0):
-            table = fields.cross_section(W, Coupling.finite(zv), [0.3])
-            expected = (1.0 / (8.0 * math.pi)) / (zv ** -2 + 1.0 / 16.0)
-            assert abs(table[0][1] - expected) < 1e-15
-
-    def test_weak_coupling_vanishes(self):
-        table = fields.cross_section(W, Coupling.finite(1e-12), [0.3])
-        assert table[0][1] < 1e-24
-
-    def test_forward_angle_rejected(self):
-        with pytest.raises(ForwardAngleError):
-            fields.cross_section(W, Z1, [math.pi])
-
-    def test_grazing_rejected(self):
-        with pytest.raises(ValidationError):
-            fields.cross_section(W, Z1, [0.5 * math.pi])

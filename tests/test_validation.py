@@ -15,7 +15,7 @@ from pointscatter import fields, kernel, singfree, transfer
 from pointscatter.errors import ValidationError
 from pointscatter.fields import GridSpec
 from pointscatter.singfree import FamilyParams
-from pointscatter.transfer import BARE, Coupling
+from pointscatter.transfer import Coupling
 
 D1 = kernel.Dispersion(1.0)
 W = amp.IncidentWave(1.0, math.pi)
@@ -51,10 +51,7 @@ ARGUMENTS = [
     ("cutoff_line.lam", amp.cutoff_line, NOT_POSITIVE),
     ("IncidentWave.k", lambda v: amp.IncidentWave(v, math.pi), NOT_POSITIVE),
     ("IncidentWave.theta0", lambda v: amp.IncidentWave(1.0, v), NOT_POSITIVE),
-    ("Coupling.lam", lambda v: Coupling(BARE, 1.0, lam=v), NOT_POSITIVE),
-    ("Coupling.bare.lam", lambda v: Coupling.bare(1.0, v), NOT_POSITIVE),
     ("Coupling.renormalized.mu", lambda v: Coupling.renormalized(1.0, v), NOT_POSITIVE),
-    ("cross_section.theta", lambda v: fields.cross_section(W, Z1, [v]), [5.0]),
     ("renormalize_bare.lam", lambda v: transfer.renormalize_bare(1.0, v, 1.0), NOT_POSITIVE),
     ("renormalize_bare.mu", lambda v: transfer.renormalize_bare(1.0, 1.0, v), NOT_POSITIVE),
     ("flow_bare_coupling.lam",
@@ -79,7 +76,6 @@ NOT_COMPLEX = [None, "1", True, math.nan, complex(math.inf, 0.0)]
 # (id, callable of the bad value) for each validated complex argument
 COMPLEX_ARGUMENTS = [
     ("Coupling.finite", Coupling.finite),
-    ("Coupling.bare.z", lambda v: Coupling.bare(v, 10.0)),
     ("Coupling.renormalized.z", lambda v: Coupling.renormalized(v, 1.0)),
     ("FamilyParams.b_plus", lambda v: FamilyParams(v, 0j)),
     ("FamilyParams.b_minus", lambda v: FamilyParams(0j, v)),
