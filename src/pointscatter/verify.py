@@ -23,6 +23,7 @@ import scipy  # bare package: scipy.integrate loads on first use
 
 from . import fields, kernel, singfree, specfun, transfer
 from .amplitudes import IncidentWave
+from .errors import ConvergenceError, DomainError, ValidationError, finite_real
 from .kernel import CutoffSpec, Dispersion
 from .singfree import FamilyParams
 from .transfer import Coupling
@@ -47,14 +48,30 @@ class CheckResult:
 
 
 def resolve_seed(seed: int | None = None) -> int:
-    if seed is not None:
-        return int(seed)
-    return int(os.environ.get(SEED_ENV_VAR, DEFAULT_SEED))
+    """``seed``, else ``POINTSCATTER_SEED``, else ``DEFAULT_SEED``.
+
+    A seed is a non-negative decimal integer: an int (not a bool) or a string
+    of ASCII digits.  Anything else is a ValidationError naming the variable
+    and the value.
+    """
+    value = os.environ.get(SEED_ENV_VAR, DEFAULT_SEED) if seed is None else seed
+    if isinstance(value, str) and value.isascii() and value.isdigit():
+        try:
+            value = int(value)
+        except ValueError:  # more digits than int() converts
+            pass
+    if isinstance(value, int) and not isinstance(value, bool) and value >= 0:
+        return value
+    raise ValidationError(
+        f"seed ({SEED_ENV_VAR}) must be a non-negative decimal integer, got {value!r}")
 
 
 # ---------------------------------------------------------------------------
-# Independent series oracles (high-precision decimal arithmetic; a different
-# algorithm and number system from the scipy routines behind specfun)
+# Independent series oracle (high-precision integer and decimal arithmetic; a
+# different algorithm and number system from the scipy routines behind specfun)
+
+_ORACLE_MAX_TERMS = 2000
+
 
 def _oracle_prec(x: float) -> int:
     # The alternating Maclaurin terms peak near e^x, so x / ln 10 digits cancel
@@ -63,37 +80,64 @@ def _oracle_prec(x: float) -> int:
 
 
 def oracle_j0_y0(x: float, prec: int | None = None) -> tuple[Decimal, Decimal]:
-    """J0 and Y0 from one pass over the Maclaurin terms.
+    """J0 and Y0 from one pass over the Maclaurin terms, x > 0.
 
     Y0 = (2/pi)[(ln(x/2)+gamma) J0 + harmonic companion series].  The pass
     stops once the companion term falls below 10^-(prec-20); that term is
     never smaller than the J0 term, so the J0 sum has converged too.  ln(x/2)
     is taken at the 50 digits that pi and gamma carry.
+
+    The series runs in integer fixed point on the exact ratio x = num/den,
+    with ``prec`` decimal digits (plus 16 guard bits) after the binary point,
+    and the two sums become Decimals once at the end.  Raises DomainError
+    unless x is a finite real number above 0, and ConvergenceError when the pass
+    needs more than 2000 terms (x above about 1084).
     """
+    try:
+        x = finite_real("oracle argument", x, above=0.0)
+    except ValidationError as exc:
+        raise DomainError(str(exc)) from None
+    if x > 2.0 * (_ORACLE_MAX_TERMS + 1):
+        # every term up to the guard exceeds 1, since (x/2)^2 > m^2 there, so
+        # the pass would end at the guard; say so before sizing the integers
+        raise ConvergenceError(_oracle_divergence(x))
     if prec is None:
         prec = _oracle_prec(x)
+    bits = int(prec * math.log2(10)) + 16
+    one = 1 << bits
+    stop = -(-one // 10 ** (prec - 20))  # contrib < stop <=> contrib / one < 10^-(prec-20)
+    num, den = x.as_integer_ratio()
+    num2, den2 = num * num, 4 * den * den
+    term = one
+    j0 = one
+    harmonic = 0
+    total = 0
+    m = 0
+    while True:
+        m += 1
+        term = term * num2 // (den2 * m * m)
+        harmonic += one // m
+        contrib = (term * harmonic) >> bits
+        if m % 2 == 0:
+            j0 += term
+            total -= contrib
+        else:
+            j0 -= term
+            total += contrib
+        if m > 4 and contrib < stop:
+            break
+        if m > _ORACLE_MAX_TERMS:
+            raise ConvergenceError(_oracle_divergence(x))
     with localcontext() as ctx:
         ctx.prec = prec
-        stop = Decimal(10) ** (-(prec - 20))
-        q = Decimal(x) * Decimal(x) / 4
-        term = Decimal(1)
-        j0 = Decimal(1)
-        harmonic = Decimal(0)
-        total = Decimal(0)
-        m = 0
-        while True:
-            m += 1
-            term = term * q / (m * m)
-            harmonic += Decimal(1) / m
-            contrib = term * harmonic
-            j0 += term if m % 2 == 0 else -term
-            total += -contrib if m % 2 == 0 else contrib
-            if m > 4 and abs(contrib) < stop:
-                break
-            if m > 2000:
-                raise RuntimeError("oracle series failed to converge")
+        scale = Decimal(one)
+        j0_dec, total_dec = Decimal(j0) / scale, Decimal(total) / scale
         log_part = (Decimal(x) / 2).ln(Context(prec=50)) + _GAMMA_50
-        return j0, (2 / _PI_50) * (log_part * j0 + total)
+        return j0_dec, (2 / _PI_50) * (log_part * j0_dec + total_dec)
+
+
+def _oracle_divergence(x: float) -> str:
+    return f"oracle series at x = {x!r} did not converge within {_ORACLE_MAX_TERMS} terms"
 
 
 # ---------------------------------------------------------------------------

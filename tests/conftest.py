@@ -1,9 +1,10 @@
-import os
 import warnings
 
 import numpy as np
 import pytest
 from hypothesis import settings
+
+from pointscatter.verify import resolve_seed
 
 # Hypothesis imports this module lazily to print a falsifying example, and the
 # import (via libcst) raises a mypy_extensions DeprecationWarning, which the
@@ -13,7 +14,7 @@ with warnings.catch_warnings():
     warnings.simplefilter("ignore", DeprecationWarning)
     import hypothesis.extra._patching  # noqa: F401
 
-SEED = int(os.environ.get("POINTSCATTER_SEED", "20260808"))
+SEED = resolve_seed()
 
 settings.register_profile("pointscatter", deadline=None, max_examples=40,
                           derandomize=True)

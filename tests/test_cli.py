@@ -16,7 +16,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.special import hankel1
 
-from pointscatter import cli, fields, kernel, transfer
+from pointscatter import cli, fields, kernel, transfer, verify
 from pointscatter.errors import GridCoarseWarning
 from pointscatter.amplitudes import IncidentWave
 from pointscatter.singfree import FamilyParams
@@ -476,6 +476,24 @@ class TestVerifyCommand:
         assert code == 2
         assert "[FAIL] 2a-closed-form-solve" in out
         assert "NUMERICAL INVARIANT FAILURE" in out
+
+    @pytest.mark.parametrize("value", ["abc", "-1", "1.5", ""])
+    def test_malformed_seed_is_one_error_line(self, value, monkeypatch, capsys):
+        monkeypatch.setenv("POINTSCATTER_SEED", value)
+        code, out, err = run(["verify"], capsys)
+        assert (code, out) == (1, "")
+        assert len(err.splitlines()) == 1
+        assert err.startswith("pointscatter: error: ValidationError:")
+        assert "POINTSCATTER_SEED" in err and repr(value) in err
+
+    def test_seed_from_environment(self, monkeypatch, capsys):
+        expected = [r.line() for r in verify.run_all(seed=7)]
+        monkeypatch.setenv("POINTSCATTER_SEED", "7")
+        code, out, err = run(["verify"], capsys)
+        assert (code, err) == (0, "")
+        assert out.splitlines()[:-1] == expected
+        code, out, _ = run(["verify", "--json"], capsys)
+        assert json.loads(out)["seed"] == 7
 
 
 class TestScipyLoadsLazily:

@@ -1,12 +1,13 @@
 import math
+from decimal import Context, Decimal, localcontext
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from pointscatter import specfun
-from pointscatter.errors import DomainError
+from pointscatter import specfun, verify
+from pointscatter.errors import ConvergenceError, DomainError
 from pointscatter.verify import oracle_j0_y0
 
 # frozen reference values, computed from the decimal series oracles
@@ -112,6 +113,63 @@ class TestOracleOnePass:
     def test_reproduces_recorded_values(self, x):
         j0, y0 = oracle_j0_y0(x)
         assert (float(j0), float(y0)) == ORACLE_REFERENCE[x]
+
+
+def decimal_series_reference(x, prec):
+    """The oracle's series pass and stop rule in Decimal arithmetic at
+    ``prec`` digits, rounded at every step: the reference that the oracle's
+    integer fixed-point loop is held to."""
+    with localcontext() as ctx:
+        ctx.prec = prec
+        stop = Decimal(10) ** (-(prec - 20))
+        q = Decimal(x) * Decimal(x) / 4
+        term = Decimal(1)
+        j0 = Decimal(1)
+        harmonic = Decimal(0)
+        total = Decimal(0)
+        m = 0
+        while True:
+            m += 1
+            term = term * q / (m * m)
+            harmonic += Decimal(1) / m
+            contrib = term * harmonic
+            j0 += term if m % 2 == 0 else -term
+            total += -contrib if m % 2 == 0 else contrib
+            if m > 4 and abs(contrib) < stop:
+                break
+            assert m <= 2000
+        log_part = (Decimal(x) / 2).ln(Context(prec=50)) + verify._GAMMA_50
+        return j0, (2 / verify._PI_50) * (log_part * j0 + total)
+
+
+class TestOracleFixedPoint:
+    @given(st.floats(min_value=1e-6, max_value=1000.0))
+    def test_matches_decimal_reference(self, x):
+        prec = verify._oracle_prec(x)
+        got = oracle_j0_y0(x)
+        ref = decimal_series_reference(x, prec)
+        assert tuple(map(float, got)) == tuple(map(float, ref))
+        # both sums cancel down from terms of size up to e^x, so the
+        # reference's own rounding is relative to e^x, not to the value
+        with localcontext() as ctx:
+            ctx.prec = prec
+            peak = Decimal(x).exp()
+            for a, b in zip(got, ref):
+                assert abs(a - b) <= Decimal(10) ** (-(prec - 25)) * max(abs(b), peak), x
+
+    @pytest.mark.parametrize("bad", [0.0, -1.0, -1e-300, math.nan, math.inf, -math.inf,
+                                     10 ** 400, "2", True, None, 1j])
+    def test_domain_errors(self, bad):
+        with pytest.raises(DomainError):
+            oracle_j0_y0(bad)
+
+    @pytest.mark.parametrize("x", [1300.0, 4002.0, 4003.0, 1e6, 1e300])
+    def test_guard_is_a_convergence_error(self, x):
+        with pytest.raises(ConvergenceError, match="2000 terms"):
+            oracle_j0_y0(x)
+
+    def test_accepts_an_int(self):
+        assert oracle_j0_y0(2) == oracle_j0_y0(2.0)
 
 
 class TestHankel:
