@@ -34,8 +34,8 @@ MAX_GRID_NODES = 250_000
 """Largest ``field --grid`` node count nx*ny.  The rendered table is held in
 memory, about 135 bytes per node as CSV and 266 as JSON, and the render peaks
 near 2.6 and 2.3 times that: at the cap 88 MB (CSV) or 154 MB (JSON) by
-tracemalloc, in 0.46-0.47 s or 0.38-0.45 s on a 2-vCPU Xeon VM; the default
-grid has 40 401 nodes."""
+tracemalloc, in 0.32-0.36 s or 0.39-0.45 s on a 2-vCPU VM; the default grid
+has 40 401 nodes."""
 
 MAX_THETA_GRID = 10_000
 """Largest ``amplitude --theta-grid``.  The amplitude is isotropic, so a
@@ -178,19 +178,22 @@ def _parser() -> _Parser:
 # dense cells fill the other columns in order.  Each distinct value of a
 # ``few`` column is formatted once and its token reused.
 #
-# Tables render to bytes: every template and token is bytes, and a report's
-# pieces are joined once.  bytes % skips literal template text with memchr
-# and has fast paths for %s of bytes and %d of ints, where str % walks the
-# template one character at a time; literal text is most of a JSON row.
+# Tables render to bytes, and a report's pieces are joined once.  A table
+# without ``few`` renders in one bytes % pass ("%.15g" for CSV, "%s" of
+# ``_json_tokens`` for JSON): most have a few dozen cells, where numpy's fixed
+# cost would outweigh any saving.
 #
 # A table with ``few`` (the field grid, tens of thousands of rows) renders in
-# blocks of rows, each in two % passes.  Most of its dense cells lie in
-# [1e-4, 1) in magnitude, where "%.15g" writes "[-]0." + zeros + 15 digits
-# less trailing zeros; numpy finds those digits as an integer, so the first
-# pass writes each such cell as its prefix + "%d" and the second formats
-# integers, which CPython does several times faster than 15-digit floats.
-# Tables without ``few`` keep their one "%.15g" pass: most have a few dozen
-# cells, where numpy's fixed cost would outweigh the saving.
+# blocks of rows with no Python object per cell.  Each block is one byte
+# matrix with a row per table row: each piece of the row's literal text
+# NUL-padded to 8 bytes, and for each cell a slot of _SLOT bytes holding its
+# text NUL-padded.  numpy writes the matrix as uint64 words and
+# bytes.translate deletes the NULs; literal text holds none (json.dumps
+# escapes it in a name, and CSV rows add only "," and "\r\n").  Most dense
+# cells lie in [1e-4, 1) in magnitude, where "%.15g" writes "[-]0." + zeros +
+# 15 digits less trailing zeros; numpy finds those digits as an integer and
+# gathers their ASCII from a table, four at a time.  Every other dense cell
+# gets its token from ``_csv_tokens`` or ``_json_tokens``.
 
 _SPLIT = 2.0 ** 27 + 1.0  # Dekker's splitter for float64
 
@@ -202,24 +205,44 @@ def _split(x):
     return hi, x - hi
 
 
+def _words(text: bytes) -> np.ndarray:
+    """``text`` NUL-padded to a multiple of 8 bytes, as uint64 words."""
+    return np.frombuffer(text.ljust(-(-len(text) // 8) * 8, b"\0"), dtype=np.uint64)
+
+
+def _group_table() -> np.ndarray:
+    """The four-digit groups 0000 ... 9999 as ASCII uint32 words, then the
+    same groups with their trailing zeros as NUL (so entry 10 000 is empty)."""
+    ascii = np.indices((10,) * 4, dtype=np.uint8).reshape(4, -1).T + 48  # "0000" ... "9999"
+    # a digit is kept when it, or a digit after it, is not "0"
+    kept = np.maximum.accumulate(ascii[:, ::-1], axis=1)[:, ::-1] > 48
+    return np.ascontiguousarray(np.concatenate([ascii, ascii * kept])).view(np.uint32).ravel()
+
+
 _SCALE = 10.0 ** np.arange(18, 14, -1)  # 10^(14 - e) at e + 4, e = -4 ... -1: exact
 _SCALE_HI, _SCALE_LO = _split(_SCALE)
-_PREFIXES = [sign + b"0." + b"0" * zeros + b"%d" for sign in (b"", b"-") for zeros in range(4)]
-_ROWS = 1 << 12  # table rows per block: keeps each block's arrays and strings near 1 MB
+_PREFIXES = np.concatenate([_words(sign + b"0." + b"0" * zeros)
+                            for sign in (b"", b"-") for zeros in range(4)])
+_GROUPS = _group_table()
+_SLOT = 24  # bytes per cell: the longest tokens, such as "-2.22507385850721e-308", have 22
+_ROWS = 1 << 12  # table rows per block: keeps each block's arrays near 1 MB
 
 
-def _fixed_mantissas(v: np.ndarray):
-    """(code, digits) for the 1-D float array ``v``: ``code`` is -1 for a
-    cell left to "%.15g", else the index into ``_PREFIXES`` of the pattern
-    that makes "%.15g" % v[i] out of the cell's entry in ``digits``, which
-    holds one integer per such cell in order.
+def _fixed_slots(v: np.ndarray):
+    """(fixed, slots) for the 1-D float array ``v``: ``fixed`` marks the
+    cells whose "%.15g" text numpy writes, and row i of ``slots`` holds that
+    text for cell i, NUL-padded to _SLOT bytes, as uint64 words; the rows of
+    other cells are left for their tokens.
 
     Only cells with 1e-4 <= |v| < 1 qualify: there "%.15g" writes "[-]0.",
     -e - 1 zeros and the 15 digits of the integer m nearest to
     s = |v| 10^(14 - e), e = floor(log10 |v|), less trailing zeros.  s is
     formed exactly as p + err (Dekker's product).  A cell whose s lies
     within 1e-6 of a half, or whose m leaves [1e14, 1e15) (a carry to the
-    next decade, or log10 off by one), is left out.
+    next decade, or log10 off by one), is left out.  A slot is the prefix
+    word, then the 16 digits of 10 m as four groups of four from
+    ``_GROUPS``: the last group with a non-zero digit, and every group after
+    it, without trailing zeros.
     """
     x = np.abs(v)
     fixed = (x >= 1e-4) & (x < 1.0)
@@ -233,46 +256,62 @@ def _fixed_mantissas(v: np.ndarray):
     frac = (p - m) + err
     m += (frac > 0.5).astype(float) - (frac < -0.5)
     fixed &= (np.abs(np.abs(frac) - 0.5) > 1e-6) & (m >= 1e14) & (m < 1e15)
-    digits = m[fixed].astype(np.int64)
-    pending = np.flatnonzero(digits % 10 == 0)
-    while pending.size:
-        digits[pending] //= 10
-        pending = pending[digits[pending] % 10 == 0]
-    return np.where(fixed, 4 * (v < 0) + 3 - decade, -1), digits
+    m[~fixed] = 1e14  # keeps every group in the table
+    # scalar divisors: numpy divides by one constant with multiplies and
+    # shifts, by an array of divisors one hardware division at a time
+    digits = 10 * m.astype(np.int64)
+    high = digits // 10 ** 8
+    low = digits - high * 10 ** 8
+    g0, g2 = high // 10 ** 4, low // 10 ** 4
+    g1, g3 = high - g0 * 10 ** 4, low - g2 * 10 ** 4
+    slots = np.empty((len(v), _SLOT // 8), dtype=np.uint64)
+    slots[:, 0] = _PREFIXES[4 * (v < 0) + 3 - decade]
+    text = slots[:, 1:].view(np.uint32)
+    text[:, 0] = _GROUPS[g0 + 10_000 * ((low == 0) & (g1 == 0))]
+    text[:, 1] = _GROUPS[g1 + 10_000 * (low == 0)]
+    text[:, 2] = _GROUPS[g2 + 10_000 * (g3 == 0)]
+    text[:, 3] = _GROUPS[g3 + 10_000]
+    return fixed, slots
 
 
-def _fill_two_pass(row: bytes, sep: bytes, header, rows, few, tokens_of) -> list[bytes]:
-    """The rows of a table with ``few``, each written by ``row`` (a "%s" per
-    cell) and joined by ``sep``, as pieces to join: blocks of ``_ROWS`` rows
-    with ``sep`` between them, each filled by two % passes.  The first writes
-    each cell as a ``few`` column's token, a fixed dense cell's pattern or
-    another dense cell's ``tokens_of`` token, all gathered from one
-    vocabulary by an integer code; the second fills in the fixed cells'
-    digits.  Blocks keep the peak memory of a large grid below that of one
-    "%.15g" pass over the whole table."""
+def _token_slots(tokens) -> np.ndarray:
+    """Each token NUL-padded to _SLOT bytes, as rows of uint64 words."""
+    return np.frombuffer(b"".join([t.ljust(_SLOT, b"\0") for t in tokens]),
+                         dtype=np.uint64).reshape(-1, _SLOT // 8)
+
+
+def _fill_blocks(literals, rows, few, tokens_of) -> list[bytes]:
+    """The rows of a table with ``few`` as pieces to join, one per block of
+    ``_ROWS`` rows.  Each row is literals[0], cell 0, literals[1], ...,
+    literals[-1]; its cells are a ``few`` column's token, a fixed dense
+    cell's text from ``_fixed_slots`` or another dense cell's ``tokens_of``
+    token.  Blocks keep the peak memory of a large grid near the text plus
+    one block's matrix."""
     dense = np.asarray(rows, dtype=float)
-    columns = [i for i in range(len(header)) if i not in few]
-    few_tokens, few_codes = [], {}
-    for i, (values, index) in few.items():
-        few_codes[i] = len(few_tokens) + np.asarray(index)
-        few_tokens += tokens_of(np.asarray(values, dtype=float))
+    words = _SLOT // 8
+    row, starts = [], []
+    for text in literals[:-1]:
+        row.append(_words(text))
+        starts.append(sum(map(len, row)))
+        row.append(np.zeros(words, dtype=np.uint64))
+    row = np.concatenate([*row, _words(literals[-1])])
+    slot = np.array(starts)[:, None] + np.arange(words)  # each cell's words in a row
+    dense_at = slot[[i for i in range(len(starts)) if i not in few]].ravel()
+    few_at = [(slot[i], _token_slots(tokens_of(np.asarray(values, dtype=float))),
+               np.asarray(index)) for i, (values, index) in few.items()]
     pieces = []
     for start in range(0, len(dense), _ROWS):
         block = dense[start:start + _ROWS]
         flat = block.ravel()
-        code, digits = _fixed_mantissas(flat)
-        rest = code < 0
-        vocabulary = few_tokens + _PREFIXES + tokens_of(flat[rest])
-        code += len(few_tokens)
-        code[rest] = np.arange(len(few_tokens) + len(_PREFIXES), len(vocabulary))
-        codes = np.empty((len(block), len(header)), dtype=np.intp)
-        codes[:, columns] = code.reshape(block.shape)
-        for i, column in few_codes.items():
-            codes[:, i] = column[start:start + _ROWS]
-        cells = np.array(vocabulary, dtype=object)[codes.ravel()]
-        text = sep.join([row] * len(block)) % tuple(cells.tolist())
-        pieces += (sep, text % tuple(digits.tolist()))
-    return pieces[1:]
+        fixed, cells = _fixed_slots(flat)
+        rest = np.flatnonzero(~fixed)
+        cells[rest] = _token_slots(tokens_of(flat[rest]))
+        matrix = np.tile(row, (len(block), 1))
+        matrix[:, dense_at] = cells.reshape(len(block), len(dense_at))
+        for at, tokens, index in few_at:
+            matrix[:, at] = tokens[index[start:start + _ROWS]]
+        pieces.append(matrix.tobytes().translate(None, b"\0"))
+    return pieces
 
 
 def _csv_tokens(values) -> list[bytes]:
@@ -282,8 +321,8 @@ def _csv_tokens(values) -> list[bytes]:
 def _csv_bytes(header, rows, few=None) -> bytes:
     head = (",".join(header) + "\r\n").encode("utf-8")
     if few:
-        return b"".join([head, *_fill_two_pass(b",".join([b"%s"] * len(header)) + b"\r\n", b"",
-                                               header, rows, few, _csv_tokens)])
+        literals = [b"", *[b","] * (len(header) - 1), b"\r\n"]
+        return b"".join([head, *_fill_blocks(literals, rows, few, _csv_tokens)])
     template = (b",".join([b"%.15g"] * len(header)) + b"\r\n") * len(rows)
     return head + template % tuple(np.asarray(rows, dtype=float).ravel().tolist())
 
@@ -316,19 +355,21 @@ def _json_tokens(table) -> list[bytes]:
 
 def _json_table(header, rows, few=None) -> list[bytes]:
     """The table as json.dumps(indent=2) writes a list of {name: cell} row
-    objects one level inside a report, as pieces to join, filled in one %
-    pass (with ``few``, two per block of rows)."""
+    objects one level inside a report, as pieces to join: one % pass, or
+    with ``few`` one piece per block of rows from ``_fill_blocks``."""
     n = len(rows)
     if n == 0:
         return [b"[]"]
-    # a literal "%" of a name must survive each % pass
-    percent = b"%%%%" if few else b"%%"
-    members = b",\n".join(b"      %s: %%s" % json.dumps(name).encode("ascii").replace(b"%", percent)
-                          for name in header)
-    row = b"    {\n" + members + b"\n    }"
+    members = [b"      %s: " % json.dumps(name).encode("ascii") for name in header]
     if few:
-        body = _fill_two_pass(row, b",\n", header, rows, few, _json_tokens)
+        literals = [b"    {\n" + members[0], *[b",\n" + member for member in members[1:]],
+                    b"\n    },\n"]
+        body = _fill_blocks(literals, rows, few, _json_tokens)
+        body[-1] = body[-1][:-2]  # no ",\n" after the last row
     else:
+        # a literal "%" of a name must survive the % pass
+        cells = b",\n".join([member.replace(b"%", b"%%") + b"%s" for member in members])
+        row = b"    {\n" + cells + b"\n    }"
         body = [b",\n".join([row] * n) % tuple(_json_tokens(np.asarray(rows, dtype=float)))]
     return [b"[\n", *body, b"\n  ]"]
 

@@ -24,10 +24,15 @@ EULER_GAMMA = 0.5772156649015329
 
 
 def _as_checked_float(x, allow_zero):
-    try:
-        x = float(x)
-    except (TypeError, ValueError) as exc:
-        raise DomainError(f"expected a real argument, got {x!r}") from exc
+    # errors.finite_real's type rule (an int or float, not a bool), inline:
+    # the cutoff-Green quadrature calls bessel_j0 about 1 200 times per verify
+    if type(x) is not float:
+        if not isinstance(x, (int, float)) or isinstance(x, bool):
+            raise DomainError(f"expected an int or float argument, got {x!r}")
+        try:
+            x = float(x)
+        except OverflowError:  # an int beyond the float range
+            raise DomainError(f"argument must be finite, got {x!r}") from None
     if not math.isfinite(x):
         raise DomainError(f"argument must be finite, got {x!r}")
     if x < 0.0 or (x == 0.0 and not allow_zero):

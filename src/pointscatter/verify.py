@@ -79,16 +79,17 @@ def _oracle_prec(x: float) -> int:
     return 80 + int(x / math.log(10)) + 5
 
 
-def oracle_j0_y0(x: float, prec: int | None = None) -> tuple[Decimal, Decimal]:
+def oracle_j0_y0(x: float) -> tuple[Decimal, Decimal]:
     """J0 and Y0 from one pass over the Maclaurin terms, x > 0.
 
     Y0 = (2/pi)[(ln(x/2)+gamma) J0 + harmonic companion series].  The pass
-    stops once the companion term falls below 10^-(prec-20); that term is
-    never smaller than the J0 term, so the J0 sum has converged too.  ln(x/2)
-    is taken at the 50 digits that pi and gamma carry.
+    works at prec = ``_oracle_prec(x)`` decimal digits and stops once the
+    companion term falls below 10^-(prec-20); that term is never smaller than
+    the J0 term, so the J0 sum has converged too.  ln(x/2) is taken at the
+    50 digits that pi and gamma carry.
 
     The series runs in integer fixed point on the exact ratio x = num/den,
-    with ``prec`` decimal digits (plus 16 guard bits) after the binary point,
+    with prec decimal digits (plus 16 guard bits) after the binary point,
     and the two sums become Decimals once at the end.  Raises DomainError
     unless x is a finite real number above 0, and ConvergenceError when the pass
     needs more than 2000 terms (x above about 1084).
@@ -101,8 +102,7 @@ def oracle_j0_y0(x: float, prec: int | None = None) -> tuple[Decimal, Decimal]:
         # every term up to the guard exceeds 1, since (x/2)^2 > m^2 there, so
         # the pass would end at the guard; say so before sizing the integers
         raise ConvergenceError(_oracle_divergence(x))
-    if prec is None:
-        prec = _oracle_prec(x)
+    prec = _oracle_prec(x)
     bits = int(prec * math.log2(10)) + 16
     one = 1 << bits
     stop = -(-one // 10 ** (prec - 20))  # contrib < stop <=> contrib / one < 10^-(prec-20)

@@ -721,6 +721,16 @@ def test_json_render_peak_memory(monkeypatch):
     assert main_peak < 2.8 * len(payload)
 
 
+def test_csv_render_peak_memory():
+    # blocks keep the work beside the text to one block's matrix: the peak is
+    # the pieces, the payload they join into and one block (2.74 times the
+    # payload on the default grid)
+    argv = ["field"]
+    cli.render_command(argv)  # first-use imports stay out of the peak
+    payload, peak = _traced_peak(cli.render_command, argv)
+    assert peak < 3.0 * len(payload)
+
+
 _CELLS = st.one_of(
     st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, -2.5e-320,
                      3.0, -7.0, 2.0 ** 53, 1e15, 1e16]),
@@ -848,8 +858,43 @@ class TestFixedMantissas:
         grid = fields.total_field(w, Coupling.finite(1.0),
                                   fields.GridSpec(-2.0, 2.0, 201, -2.0, 2.0, 201))
         _, rows, _ = cli._field_rows(grid, fields.current_density(grid, k=1.0))
-        code, digits = cli._fixed_mantissas(rows.ravel())
-        assert np.count_nonzero(code >= 0) == len(digits) >= 0.95 * rows.size
+        fixed, slots = cli._fixed_slots(rows.ravel())
+        assert len(slots) == rows.size and np.count_nonzero(fixed) >= 0.95 * rows.size
+
+
+# the longest tokens either format writes: 15 digits and a 3-digit exponent
+_LONGEST = [-2.22507385850721e-308, -1.23456789012345e-100, -_DBL_MAX]
+_EDGE_CELLS = [*_LONGEST, _DBL_MAX, 5e-324, -5e-324, math.nan, math.inf, -math.inf,
+               -0.0, 0.0, 0.123456789012345, -1e-4, 1e15, -123456789012345.0]
+
+
+class TestBlockEdgeCases:
+    """Cells at the extremes of the token length and of the float range, and
+    header names a byte matrix or a % pass could mangle, in dense and in
+    few-valued columns of a field-style table."""
+
+    REPORT = {"command": "t"}
+    HEADER = ["x\x00", "%s", "\u03c8 %d", "re_\x00%%", "caf\u00e9", "%"]
+
+    def test_longest_tokens_fit_a_slot(self):
+        assert max(len(t) for t in cli._csv_tokens(np.array(_LONGEST))) == 22 < cli._SLOT
+        assert max(len(t) for t in cli._json_tokens(np.array(_EDGE_CELLS))) <= 22
+
+    @pytest.mark.parametrize("rows_per_block", [cli._ROWS, 2, 1])
+    def test_matches_cell_references(self, rows_per_block):
+        n = len(_EDGE_CELLS)
+        # the few-valued columns 0, 3 and 5 take every edge value; 1, 2 and 4 are dense
+        few = {0: (_EDGE_CELLS, np.arange(n)[::-1]),
+               3: (_EDGE_CELLS[:5], np.arange(n) % 5),
+               5: ((math.nan,), np.zeros(n, dtype=np.intp))}
+        dense = np.column_stack([_EDGE_CELLS, np.roll(_EDGE_CELLS, 4), _EDGE_CELLS[::-1]])
+        full = [[_EDGE_CELLS[n - 1 - r], a, b, _EDGE_CELLS[r % 5], c, math.nan]
+                for r, (a, b, c) in enumerate(dense.tolist())]
+        with mock.patch.object(cli, "_ROWS", rows_per_block):
+            assert (cli._csv_bytes(self.HEADER, dense, few)
+                    == _reference_csv_bytes(self.HEADER, full))
+            assert (cli._json_bytes(self.REPORT, [("rows", self.HEADER, dense, few)])
+                    == _reference_json_bytes(self.REPORT, [("rows", self.HEADER, full)]))
 
 
 _EXTREMES = st.one_of(

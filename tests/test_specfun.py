@@ -171,6 +171,12 @@ class TestOracleFixedPoint:
     def test_accepts_an_int(self):
         assert oracle_j0_y0(2) == oracle_j0_y0(2.0)
 
+    def test_precision_is_not_a_parameter(self):
+        # the working precision always follows x; a caller's prec <= 20 once
+        # ended the pass after five terms with wrong digits
+        with pytest.raises(TypeError):
+            oracle_j0_y0(1.0, prec=19)
+
 
 class TestHankel:
     def test_definitional_identity_exact(self):
@@ -246,6 +252,30 @@ class TestSmallXExpansion:
     def test_domain_errors(self, bad):
         with pytest.raises(DomainError):
             specfun.hankel1_0_small_x_expansion(bad)
+
+
+SCALAR_FUNCTIONS = [specfun.bessel_j0, specfun.bessel_y0, specfun.hankel1_0,
+                    specfun.hankel1_0_small_x_expansion]
+
+
+class TestArgumentTypes:
+    """errors.finite_real's type rule: an int or a float, not a bool."""
+
+    @pytest.mark.parametrize("function", SCALAR_FUNCTIONS)
+    @pytest.mark.parametrize("bad", ["2", " 3 ", "0.25", True, False, None, 0.25 + 0j,
+                                     [0.25], np.int64(2), Decimal("0.25"),
+                                     pytest.param(10 ** 400, id="int-beyond-float")])
+    def test_rejected(self, function, bad):
+        with pytest.raises(DomainError):
+            function(bad)
+
+    @pytest.mark.parametrize("function", SCALAR_FUNCTIONS)
+    def test_float_subclass_accepted(self, function):
+        assert function(np.float64(0.25)) == function(0.25)
+
+    @pytest.mark.parametrize("function", SCALAR_FUNCTIONS[:3])
+    def test_int_accepted(self, function):
+        assert function(2) == function(2.0)
 
 
 class TestArrayVariants:
