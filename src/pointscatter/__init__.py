@@ -46,10 +46,7 @@ from .fields import (
     total_field,
 )
 from .kernel import (
-    CutoffSpec,
     Dispersion,
-    FINITE_EPSILON,
-    PV_PLUS_DELTA,
     green_closed,
     green_cutoff_quadrature,
     green_cutoff_zero,

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 from .errors import (OnShellAtomError, SupportMismatchError, ValidationError, finite_complex,
                      finite_real, require_cutoff_above_k)
-from .kernel import CutoffSpec, Dispersion, regularized_h0_at_zero, varpi
+from .kernel import Dispersion, regularized_h0_at_zero, varpi
 
 FULL_LINE = "full-line"
 BAND = "band"
@@ -140,7 +140,7 @@ def integrate_inverse_varpi(a: GeneralizedAmplitude, domain: IntegrationDomain,
             bg_integral = complex(math.pi, 0.0)
             p_max = k
         else:
-            bg_integral = math.pi * regularized_h0_at_zero(CutoffSpec(domain.lam), d)
+            bg_integral = math.pi * regularized_h0_at_zero(domain.lam, d)
             p_max = domain.lam
     else:  # the band
         bg_integral = complex(math.pi, 0.0)

@@ -21,7 +21,6 @@ import numpy as np
 from . import fields, kernel, singfree, transfer, verify
 from .amplitudes import IncidentWave
 from .errors import PointScatterError, ValidationError, finite_real, require_cutoff_above_k
-from .kernel import CutoffSpec
 from .singfree import FamilyParams
 from .transfer import Coupling
 
@@ -455,7 +454,7 @@ def cmd_flow(args):
     rows = []
     for lam in lams:
         z_bare = transfer.flow_bare_coupling(z_tilde, lam, mu)
-        g0 = kernel.green_cutoff_zero(CutoffSpec(lam), d)
+        g0 = kernel.green_cutoff_zero(lam, d)
         f_bare = transfer.bare_amplitude_with_cutoff(w, z_bare, lam)
         b_sum = singfree.absorption_condition(z_finite, lam, d)
         b_tilde = singfree.renormalized_b(b_sum, lam, d)
@@ -487,7 +486,7 @@ def cmd_family(args):
               "re_b_tilde", "im_b_tilde"]
     rows = []
     for lam in lams:
-        h_reg = kernel.regularized_h0_at_zero(CutoffSpec(lam), d)
+        h_reg = kernel.regularized_h0_at_zero(lam, d)
         _, c = singfree.family_solution(w, z, params, lam)
         f_fam = singfree.family_amplitude(w, z, params, lam)
         b_sum = singfree.absorption_condition(z, lam, d)

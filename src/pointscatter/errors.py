@@ -47,13 +47,15 @@ def finite_complex(name: str, value) -> complex:
     raise ValidationError(f"{name} must be a finite complex number, got {value!r}")
 
 
-def require_cutoff_above_k(lam: float, k: float) -> float:
-    """``lam`` unchanged if it exceeds the wavenumber ``k``: the one
-    "cutoff above k" rule.  Takes floats already validated, such as a built
-    ``CutoffSpec``'s lam or the result of ``finite_real``."""
-    if not lam > k:
+def require_cutoff_above_k(lam, k: float) -> float:
+    """``lam`` as a float if it is an int or float (not a bool), above the
+    wavenumber ``k`` and finite: the one cutoff rule.  A number is compared
+    with ``k`` first (NaN fails that), so a cutoff at or below ``k`` reads
+    "must exceed the wavenumber"; an infinite cutoff or a non-number gets
+    ``finite_real``'s message."""
+    if isinstance(lam, (int, float)) and not isinstance(lam, bool) and not lam > k:
         raise ValidationError(f"cutoff {lam!r} must exceed the wavenumber {k!r}")
-    return lam
+    return finite_real("cutoff", lam, above=0.0)
 
 
 class DomainError(ValidationError):

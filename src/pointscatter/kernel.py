@@ -10,8 +10,7 @@ the origin.  This module owns every regularized stand-in used elsewhere:
   regulators.
 
 The i*epsilon prescription is realized by the exact decomposition
-PV - i*pi*delta on shell; a finite-epsilon mode exists only so the two can
-cross-validate each other.  Every momentum integral reports an error estimate
+PV - i*pi*delta on shell.  Every momentum integral reports an error estimate
 next to its value.
 """
 
@@ -36,9 +35,6 @@ MAX_WAVENUMBER = math.sqrt(sys.float_info.max)
 """Largest accepted wavenumber, ~1.34e154: above it k*k overflows, and so
 does k^2 - p^2 inside varpi(p) for |p| well below k."""
 
-PV_PLUS_DELTA = "pv-delta"
-FINITE_EPSILON = "finite-epsilon"
-
 
 @dataclass(frozen=True)
 class Dispersion:
@@ -55,24 +51,6 @@ class Dispersion:
             raise ValidationError(
                 f"wavenumber {k!r} is above {MAX_WAVENUMBER!r}, where k*k overflows")
         object.__setattr__(self, "k", k)
-
-
-@dataclass(frozen=True)
-class CutoffSpec:
-    """Momentum cutoff plus the prescription for the on-shell pole."""
-
-    lam: float
-    epsilon_policy: str = PV_PLUS_DELTA
-    epsilon: float | None = None
-
-    def __post_init__(self):
-        object.__setattr__(self, "lam", finite_real("cutoff", self.lam, above=0.0))
-        if self.epsilon_policy not in (PV_PLUS_DELTA, FINITE_EPSILON):
-            raise ValidationError(f"unknown epsilon policy {self.epsilon_policy!r}")
-        if self.epsilon_policy == FINITE_EPSILON:
-            object.__setattr__(self, "epsilon", finite_real("epsilon", self.epsilon, above=0.0))
-        elif self.epsilon is not None:
-            raise ValidationError("epsilon is only meaningful under the finite-epsilon policy")
 
 
 class QuadratureValue(NamedTuple):
@@ -111,28 +89,30 @@ def green_closed(r: float, d: Dispersion) -> complex:
     return -0.25j * hankel1_0(d.k * r)
 
 
-def green_cutoff_zero(c: CutoffSpec, d: Dispersion) -> complex:
+def green_cutoff_zero(lam: float, d: Dispersion) -> complex:
     """Closed form of the cutoff Green function at the origin.
 
     G_lam(0) = -(1/4 pi) ln(lam^2/k^2 - 1) - i/4.  The imaginary part is the
     on-shell delta contribution and is exactly -1/4 for every cutoff.
     """
-    require_cutoff_above_k(c.lam, d.k)
-    ratio = c.lam / d.k
+    ratio = require_cutoff_above_k(lam, d.k) / d.k
     if not math.isfinite(ratio * ratio):
         raise ValidationError(f"(lam/k)^2 overflows for lam/k = {ratio!r}")
     return complex(-math.log(ratio * ratio - 1.0) / (4.0 * math.pi), -0.25)
 
 
-def regularized_h0_at_zero(c: CutoffSpec, d: Dispersion) -> complex:
+def regularized_h0_at_zero(lam: float, d: Dispersion) -> complex:
     """Cutoff stand-in for H0^(1)(0): (1/pi) * integral_{-lam}^{lam} dq/varpi(q).
 
     Evaluates to 1 - (2i/pi) arccosh(lam/k).  The real part 1 comes from the
     traveling band, the log-divergent imaginary part from the evanescent
     tails.
     """
-    require_cutoff_above_k(c.lam, d.k)
-    return complex(1.0, -(2.0 / math.pi) * math.acosh(c.lam / d.k))
+    lam = require_cutoff_above_k(lam, d.k)
+    ratio = lam / d.k
+    if not math.isfinite(ratio):
+        raise ValidationError(f"lam/k overflows for lam = {lam!r}, k = {d.k!r}")
+    return complex(1.0, -(2.0 / math.pi) * math.acosh(ratio))
 
 
 def _quad(f, a, b, **kwargs):
@@ -145,12 +125,6 @@ def _quad(f, a, b, **kwargs):
         raise QuadratureError(f"quadrature on [{a!r}, {b!r}] did not converge: {out[3]}",
                               error_estimate=abserr)
     return value, abserr
-
-
-def _quad_complex(f, a, b, **kwargs):
-    re, ere = _quad(lambda t: f(t).real, a, b, **kwargs)
-    im, eim = _quad(lambda t: f(t).imag, a, b, **kwargs)
-    return complex(re, im), ere + eim
 
 
 def _pv_across_pole(g, k, half_width, **kwargs):
@@ -168,51 +142,32 @@ def _pv_across_pole(g, k, half_width, **kwargs):
     return _quad(paired, 0.0, half_width, **kwargs)
 
 
-def green_cutoff_quadrature(r: float, c: CutoffSpec, d: Dispersion) -> QuadratureValue:
+def green_cutoff_quadrature(r: float, lam: float, d: Dispersion) -> QuadratureValue:
     """Numerical cutoff Green function: int_0^lam dp/(2 pi) p J0(p r)/(k^2-p^2+i eps).
 
-    Under the default policy the epsilon limit is taken exactly first:
-    the real part is the principal value, the imaginary part the on-shell
-    delta term -(i/4) J0(k r).  Under the finite-epsilon policy the complex
-    integrand is integrated as-is for cross-validation.
+    The epsilon limit is taken exactly first: the real part is the principal
+    value, the imaginary part the on-shell delta term -(i/4) J0(k r).
     """
     r = finite_real("radius", r)
     if r < 0:
         raise ValidationError(f"radius must be nonnegative, got {r!r}")
-    require_cutoff_above_k(c.lam, d.k)
-    k, lam = d.k, c.lam
+    k = d.k
+    lam = require_cutoff_above_k(lam, k)
     limit = max(400, int(60 + 2.0 * lam * r))
 
-    if c.epsilon_policy == PV_PLUS_DELTA:
-        def g(p):
-            # residue-carrying factor: integrand = g(p)/(k - p)
-            return p * bessel_j0(p * r) / (TWO_PI * (p + k))
+    def g(p):
+        # residue-carrying factor: integrand = g(p)/(k - p)
+        return p * bessel_j0(p * r) / (TWO_PI * (p + k))
 
-        def h(p):
-            return p * bessel_j0(p * r) / (TWO_PI * (k - p) * (k + p))
+    def h(p):
+        return p * bessel_j0(p * r) / (TWO_PI * (k - p) * (k + p))
 
-        w = min(k / 10.0, (lam - k) / 10.0)
-        left, e1 = _quad(h, 0.0, k - w, limit=limit)
-        window, e2 = _pv_across_pole(g, k, w, limit=limit)
-        right, e3 = _quad(h, k + w, lam, limit=limit)
-        value = complex(left + window + right, -0.25 * bessel_j0(k * r))
-        return QuadratureValue(value, e1 + e2 + e3)
-
-    eps = c.epsilon
-
-    def f(p):
-        return p * bessel_j0(p * r) / (TWO_PI * complex(k * k - p * p, eps))
-
-    # the on-shell Lorentzian has width ~ eps/(2k); ladder the subdivision
-    # points geometrically so adaptive refinement sees it
-    ladder = [k]
-    t = 0.5 * eps / k
-    while t < 0.4 * min(k, lam - k):
-        ladder.extend((k - t, k + t))
-        t *= 8.0
-    value, err = _quad_complex(f, 0.0, lam, points=sorted(ladder),
-                               limit=max(limit, 800))
-    return QuadratureValue(value, err)
+    w = min(k / 10.0, (lam - k) / 10.0)
+    left, e1 = _quad(h, 0.0, k - w, limit=limit)
+    window, e2 = _pv_across_pole(g, k, w, limit=limit)
+    right, e3 = _quad(h, k + w, lam, limit=limit)
+    value = complex(left + window + right, -0.25 * bessel_j0(k * r))
+    return QuadratureValue(value, e1 + e2 + e3)
 
 
 def momentum_identity_check(x: float, y: float, d: Dispersion,
@@ -293,7 +248,7 @@ def scheme_matching_limit(alpha: float, d: Dispersion, r_sequence) -> complex:
     if any(d.k * rr >= 0.1 for rr in radii):
         raise ValidationError("all radii must satisfy k r < 0.1")
 
-    values = [green_closed(rr, d) - green_cutoff_zero(CutoffSpec(alpha / rr), d)
+    values = [green_closed(rr, d) - green_cutoff_zero(alpha / rr, d)
               for rr in radii]
     diffs = [abs(b - a) for a, b in zip(values, values[1:])]
     for a, b in zip(diffs, diffs[1:]):

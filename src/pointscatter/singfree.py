@@ -24,8 +24,8 @@ from dataclasses import dataclass
 
 from .amplitudes import Atom, GeneralizedAmplitude, FULL_LINE, IncidentWave
 from .errors import (PoleError, PointScatterError, ValidationError, finite_complex,
-                     finite_real, require_cutoff_above_k)
-from .kernel import FOUR_PI, TWO_PI, CutoffSpec, Dispersion, regularized_h0_at_zero, varpi
+                     require_cutoff_above_k)
+from .kernel import FOUR_PI, TWO_PI, Dispersion, regularized_h0_at_zero, varpi
 from .specfun import hankel1_0
 from .transfer import Coupling, FINITE, _amplitude, _amplitude_pole_denominator, _residual_scale
 
@@ -41,10 +41,6 @@ class FamilyParams:
         for name in ("b_plus", "b_minus"):
             object.__setattr__(self, name, finite_complex(name, getattr(self, name)))
 
-    @property
-    def b_sum(self) -> complex:
-        return self.b_minus + self.b_plus
-
 
 @dataclass(frozen=True)
 class FRepresentation:
@@ -56,14 +52,6 @@ class FRepresentation:
     b_plus: complex
     b_minus: complex
     background_over_varpi: complex
-
-    @property
-    def incident_atom(self):
-        return (self.p0, complex(TWO_PI))
-
-    @property
-    def edge_atoms(self):
-        return ((self.k, TWO_PI * self.b_plus), (-self.k, TWO_PI * self.b_minus))
 
     def times_varpi(self, d: Dispersion) -> GeneralizedAmplitude:
         """B- = varpi * F as a generalized amplitude.
@@ -83,7 +71,7 @@ class FRepresentation:
     def integrate_plain(self, lam: float, d: Dispersion) -> complex:
         """Plain integral of F over the cutoff line: atom weights integrate as
         themselves, the 1/varpi background picks up pi * H0_reg(lam)."""
-        h_reg = regularized_h0_at_zero(CutoffSpec(lam), d)
+        h_reg = regularized_h0_at_zero(lam, d)
         return (TWO_PI * (1.0 + self.b_plus + self.b_minus)
                 + self.background_over_varpi * math.pi * h_reg)
 
@@ -91,7 +79,7 @@ class FRepresentation:
 def _family_denominator(z: Coupling, lam: float, d: Dispersion) -> complex:
     if z.kind != FINITE:
         raise ValidationError("the solution family takes a finite coupling")
-    h_reg = regularized_h0_at_zero(CutoffSpec(lam), d)
+    h_reg = regularized_h0_at_zero(lam, d)
     den = 1.0 / z.value + 0.25j * h_reg
     if den == 0:
         raise PoleError(
@@ -126,7 +114,7 @@ def family_solution(w: IncidentWave, z: Coupling, params: FamilyParams,
     try:
         residual = abs(c_check - c)
         # the background c/varpi integrates to pi c H0_reg on the cutoff line
-        bound = 1e-12 * _residual_scale(z.value, c * regularized_h0_at_zero(CutoffSpec(lam), d))
+        bound = 1e-12 * _residual_scale(z.value, c * regularized_h0_at_zero(lam, d))
     except OverflowError:  # a modulus beyond the float range
         raise _overflow(params, "the fixed-point check", lam) from None
     if not residual <= bound:  # a NaN residual fails too
@@ -165,13 +153,13 @@ def absorption_condition(z: Coupling, lam: float, d: Dispersion) -> complex:
     if z.kind != FINITE:
         raise ValidationError("the absorption condition takes a finite coupling")
     _amplitude_pole_denominator(z.value)  # PoleError at and next to z = 4i
-    h_reg = regularized_h0_at_zero(CutoffSpec(lam), d)
+    h_reg = regularized_h0_at_zero(lam, d)
     return (h_reg - 1.0) / (1.0 - 4j / z.value)
 
 
 def renormalized_b(params_sum: complex, lam: float, d: Dispersion) -> complex:
     """Renormalized edge-atom weight: b_tilde = i pi (b- + b+) / (2 ln(lam/k))."""
-    lam = require_cutoff_above_k(finite_real("cutoff", lam), d.k)
+    lam = require_cutoff_above_k(lam, d.k)
     b_sum = finite_complex("edge weight sum", params_sum)
     return 1j * math.pi * b_sum / (2.0 * math.log(lam / d.k))
 
@@ -189,7 +177,7 @@ def regularized_h0_position_scheme(lam: float, d: Dispersion) -> complex:
     by the constant 2 i gamma / pi as lam grows; limits taken in the two
     schemes disagree by exactly that O(1) constant.
     """
-    lam = require_cutoff_above_k(finite_real("cutoff", lam), d.k)
+    lam = require_cutoff_above_k(lam, d.k)
     return hankel1_0(d.k / lam)
 
 

@@ -33,7 +33,7 @@ from .amplitudes import (
 )
 from .errors import (PoleError, PointScatterError, ValidationError, finite_complex,
                      finite_real, require_cutoff_above_k)
-from .kernel import FOUR_PI, CutoffSpec, Dispersion, green_cutoff_zero
+from .kernel import FOUR_PI, Dispersion, green_cutoff_zero
 
 SQRT_2PI = math.sqrt(2.0 * math.pi)
 SQRT_8PI = math.sqrt(8.0 * math.pi)
@@ -267,7 +267,7 @@ def bare_amplitude_with_cutoff(w: IncidentWave, z_bare: complex, lam: float) -> 
     if z_bare == 0:
         raise ValidationError("bare coupling must be nonzero")
     d = w.dispersion()
-    g0 = green_cutoff_zero(CutoffSpec(lam), d)
+    g0 = green_cutoff_zero(lam, d)
     den = 1.0 / z_bare - g0
     if den == 0:
         raise PoleError("bare coupling inverse equals G_lam(0): amplitude pole")

@@ -24,7 +24,7 @@ import scipy  # bare package: scipy.integrate loads on first use
 from . import fields, kernel, singfree, specfun, transfer
 from .amplitudes import IncidentWave
 from .errors import ConvergenceError, DomainError, ValidationError, finite_real
-from .kernel import CutoffSpec, Dispersion
+from .kernel import Dispersion
 from .singfree import FamilyParams
 from .transfer import Coupling
 
@@ -182,8 +182,8 @@ def _check_green_cutoff() -> tuple[CheckResult, CheckResult]:
     d = Dispersion(1.0)
     worst_quad = worst_imag = 0.0
     for lam in (2.0, 10.0, 100.0):
-        closed = kernel.green_cutoff_zero(CutoffSpec(lam), d)
-        quad = kernel.green_cutoff_quadrature(0.0, CutoffSpec(lam), d).value
+        closed = kernel.green_cutoff_zero(lam, d)
+        quad = kernel.green_cutoff_quadrature(0.0, lam, d).value
         worst_quad = max(worst_quad, abs(quad - closed))
         worst_imag = max(worst_imag, abs(closed.imag + 0.25), abs(quad.imag + 0.25))
     return (CheckResult("3a-green-cutoff-quadrature", 1e-8, worst_quad, worst_quad <= 1e-8),

@@ -176,6 +176,35 @@ class TestFamilyCommand:
         assert run(["family", f"--theta0={theta0!r}"], capsys) == plain
 
 
+class TestCutoffDiagnostics:
+    """The exact line each rejected cutoff prints.  A number is compared with
+    k before the finite check, so NaN and negatives read "must exceed"."""
+
+    ERROR = f"{cli.ERROR_PREFIX} ValidationError: "
+    LINES = {
+        "nan": "cutoff nan must exceed the wavenumber 1.0",
+        "-1": "cutoff -1.0 must exceed the wavenumber 1.0",
+        "inf": "cutoff must be a finite real number above 0.0, got inf",
+        "0.5": "cutoff 0.5 must exceed the wavenumber 1.0",
+        "2,1": "cutoff list must be strictly increasing",
+    }
+
+    @pytest.mark.parametrize("lam", list(LINES))
+    @pytest.mark.parametrize("command", ["flow", "family"])
+    def test_line(self, command, lam, capsys):
+        expected = (1, "", f"{self.ERROR}{self.LINES[lam]}\n")
+        assert run([command, f"--lambda={lam}"], capsys) == expected
+
+    def test_family_ratio_overflow(self, capsys):
+        # lam/k = inf would make H0_reg 1 - inf*i; the edge weights are not the cause
+        expected = (1, "", f"{self.ERROR}lam/k overflows for lam = 1e+300, k = 1e-100\n")
+        assert run(["family", "--k=1e-100", "--lambda=1e300"], capsys) == expected
+
+    def test_flow_ratio_square_overflow(self, capsys):
+        expected = (1, "", f"{self.ERROR}(lam/k)^2 overflows for lam/k = inf\n")
+        assert run(["flow", "--k=1e-100", "--lambda=1e300"], capsys) == expected
+
+
 class TestStrongCoupling:
     """Valid couplings far above 1.  The solve and extraction guards bound
     rounding relative to the terms the smear cancels, which grow like |z|,
@@ -287,7 +316,7 @@ class TestEdgeWeightOverflow:
         assert len(rows) == 3
         assert all(math.isfinite(float(v)) for row in rows for v in row.values())
         # lam = 2: c = -i (1 + b) / (2 (1/z + (i/4) H0_reg)) at z = 1
-        h_reg = kernel.regularized_h0_at_zero(kernel.CutoffSpec(2.0), kernel.Dispersion(1.0))
+        h_reg = kernel.regularized_h0_at_zero(2.0, kernel.Dispersion(1.0))
         c = -1j * (1.0 + complex(2e307, 2e307)) / (2.0 * (1.0 + 0.25j * h_reg))
         assert (rows[0]["re_c"], rows[0]["im_c"]) == (f"{c.real:.15g}", f"{c.imag:.15g}")
 

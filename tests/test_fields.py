@@ -147,7 +147,7 @@ class TestPsi0:
         params = FamilyParams(0.3 + 1.0j, -2.0)
         grid = fields.psi0_field(params, 1.0, self.SPEC)
         j0 = np.argmin(np.abs(grid.y))
-        assert abs(grid.values[0, j0] - params.b_sum / (2.0 * math.pi)) < 1e-15
+        assert abs(grid.values[0, j0] - (params.b_minus + params.b_plus) / (2.0 * math.pi)) < 1e-15
 
     def test_exactly_x_independent(self):
         grid = fields.psi0_field(FamilyParams(0.3 + 1.0j, -2.0), 1.0, self.SPEC)

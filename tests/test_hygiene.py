@@ -1,8 +1,9 @@
 """Source hygiene that needs no linter: no module imports a name it never uses,
-and no public function or class goes uncalled by the library unless an open
-item reserves it."""
+and no public function, class, method or property goes uncalled by the
+library unless an open item reserves it."""
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
@@ -69,3 +70,69 @@ def test_detects_an_uncalled_function():
 
 def test_only_reserved_definitions_go_uncalled():
     assert uncalled_definitions([path.read_text() for path in MODULES]) == RESERVED_FOR_TESTS
+
+
+# Public methods and properties that only tests reach, each kept for open
+# work: B- = varpi * F, the left side of the projection-sandwich identity
+# (TestEdgeAnnihilation projects it onto the band).
+RESERVED_MEMBERS = {"FRepresentation.times_varpi"}
+
+
+def uncalled_members(sources: list[str], overrides=frozenset()) -> set[str]:
+    """Public methods and properties of module-level classes, as
+    "Class.member", that no source reaches as an attribute outside the
+    member's own body.  Only ``obj.member`` counts: a bare local that shares
+    the member's name is not a use of it.  ``overrides`` names members whose
+    caller is a base class outside the sources."""
+    trees = [ast.parse(source) for source in sources]
+    defined, reached = {}, set()
+    for tree in trees:
+        for node in tree.body:
+            is_class = isinstance(node, ast.ClassDef)
+            for item in node.body if is_class else [node]:
+                own = item.name if is_class and isinstance(item, ast.FunctionDef) else None
+                if own is not None and not own.startswith("_"):
+                    defined[f"{node.name}.{own}"] = own
+                reached |= {sub.attr for sub in ast.walk(item)
+                            if isinstance(sub, ast.Attribute) and sub.attr != own}
+    return {member for member, name in defined.items()
+            if name not in reached and member not in overrides}
+
+
+def external_overrides() -> set[str]:
+    """Members of the package's classes that override a method of a base
+    class defined outside the package, such as ``argparse``'s ``error``."""
+    found = set()
+    for path in MODULES:
+        if path.stem == "__main__":  # importing it runs the CLI
+            continue
+        module = importlib.import_module(f"pointscatter.{path.stem}")
+        for cls in vars(module).values():
+            if not (isinstance(cls, type) and cls.__module__ == module.__name__):
+                continue
+            bases = [base for base in cls.__mro__[1:]
+                     if not base.__module__.startswith("pointscatter")]
+            found |= {f"{cls.__name__}.{name}" for name in vars(cls)
+                      if not name.startswith("_")
+                      and any(hasattr(base, name) for base in bases)}
+    return found
+
+
+def test_detects_an_uncalled_member():
+    sources = ["class A:\n    def used(self):\n        return self.used()\n\n"
+               "    @property\n    def total(self):\n        return 1\n\n"
+               "    def _private(self):\n        pass\n\n"
+               "    def error(self):\n        pass\n",
+               "total = 2\n"]
+    assert uncalled_members(sources) == {"A.used", "A.total", "A.error"}
+    sources.append("A().used()\nprint(A().total)\n")
+    assert uncalled_members(sources, {"A.error"}) == set()
+
+
+def test_external_overrides_found():
+    assert external_overrides() == {"_Parser.error"}
+
+
+def test_only_reserved_members_go_uncalled():
+    sources = [path.read_text() for path in MODULES]
+    assert uncalled_members(sources, external_overrides()) == RESERVED_MEMBERS

@@ -3,16 +3,36 @@ import math
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
-from scipy import integrate
+from scipy import integrate, special
 
 from pointscatter import kernel, specfun
 from pointscatter.errors import ConvergenceError, QuadratureError, ValidationError
-from pointscatter.kernel import CutoffSpec, Dispersion
+from pointscatter.kernel import Dispersion
 
 D1 = Dispersion(1.0)
 
 # -(i/4) H0(1) assembled from the frozen Bessel values
 GREEN_AT_1 = complex(0.08825696421567696 / 4.0, -0.7651976865579666 / 4.0)
+
+
+def finite_epsilon_green(r, lam, k, eps):
+    """Reference for the i*eps prescription: int_0^lam dp/(2 pi) p J0(p r) /
+    (k^2 - p^2 + i eps) with the complex integrand as it stands.  The on-shell
+    Lorentzian has width ~ eps/(2k), so the subdivision points ladder
+    geometrically around k for adaptive refinement to see it."""
+    def f(p):
+        return p * special.j0(p * r) / (2.0 * math.pi * complex(k * k - p * p, eps))
+
+    ladder = [k]
+    t = 0.5 * eps / k
+    while t < 0.4 * min(k, lam - k):
+        ladder.extend((k - t, k + t))
+        t *= 8.0
+    opts = dict(points=sorted(ladder), limit=max(800, int(60 + 2.0 * lam * r)),
+                epsabs=1e-11, epsrel=1e-11)
+    re, _ = integrate.quad(lambda p: f(p).real, 0.0, lam, **opts)
+    im, _ = integrate.quad(lambda p: f(p).imag, 0.0, lam, **opts)
+    return complex(re, im)
 
 
 class TestDispersionAndCutoffTypes:
@@ -27,16 +47,13 @@ class TestDispersionAndCutoffTypes:
         assert Dispersion(kernel.MIN_WAVENUMBER).k == kernel.MIN_WAVENUMBER
 
     def test_cutoff_validation(self):
-        with pytest.raises(ValidationError):
-            CutoffSpec(-1.0)
-        with pytest.raises(ValidationError):
-            CutoffSpec(True)
-        with pytest.raises(ValidationError):
-            CutoffSpec(2.0, "no-such-policy")
-        with pytest.raises(ValidationError):
-            CutoffSpec(2.0, kernel.FINITE_EPSILON)  # missing epsilon
-        with pytest.raises(ValidationError):
-            CutoffSpec(2.0, kernel.PV_PLUS_DELTA, epsilon=1e-6)
+        # a number is compared with k first, so NaN and negatives read "exceed"
+        for bad in (-1.0, math.nan, 0.5, 1.0):
+            with pytest.raises(ValidationError, match=rf"^cutoff {bad!r} must exceed"):
+                kernel.green_cutoff_zero(bad, D1)
+        for bad in (math.inf, True, "2"):
+            with pytest.raises(ValidationError, match="^cutoff must be a finite real number"):
+                kernel.green_cutoff_zero(bad, D1)
 
 
 class TestVarpi:
@@ -86,67 +103,70 @@ class TestGreenClosed:
 
 class TestGreenCutoffZero:
     def test_closed_form_at_ten(self):
-        g = kernel.green_cutoff_zero(CutoffSpec(10.0), D1)
+        g = kernel.green_cutoff_zero(10.0, D1)
         assert abs(g.real + math.log(99.0) / (4.0 * math.pi)) < 1e-15
         assert g.imag == -0.25
 
     def test_vanishing_log_at_sqrt2(self):
-        g = kernel.green_cutoff_zero(CutoffSpec(math.sqrt(2.0)), D1)
+        g = kernel.green_cutoff_zero(math.sqrt(2.0), D1)
         assert abs(g.real) < 1e-15
         assert g.imag == -0.25
 
     def test_large_cutoff_log_form(self):
-        g = kernel.green_cutoff_zero(CutoffSpec(100.0), D1)
+        g = kernel.green_cutoff_zero(100.0, D1)
         approx = complex(-math.log(100.0) / (2.0 * math.pi), -0.25)
         assert abs(g - approx) < 2e-5
 
     def test_imaginary_part_independent_of_cutoff(self):
         for lam in (2.0, 10.0, 100.0):
-            assert kernel.green_cutoff_zero(CutoffSpec(lam), D1).imag == -0.25
+            assert kernel.green_cutoff_zero(lam, D1).imag == -0.25
 
     def test_cutoff_below_k_rejected(self):
         with pytest.raises(ValidationError):
-            kernel.green_cutoff_zero(CutoffSpec(0.5), D1)
+            kernel.green_cutoff_zero(0.5, D1)
 
     def test_ratio_whose_square_overflows_rejected(self):
-        assert math.isfinite(kernel.green_cutoff_zero(CutoffSpec(1e154), D1).real)
+        assert math.isfinite(kernel.green_cutoff_zero(1e154, D1).real)
         for lam in (1.35e154, 1e300):
             with pytest.raises(ValidationError):
-                kernel.green_cutoff_zero(CutoffSpec(lam), D1)
+                kernel.green_cutoff_zero(lam, D1)
 
 
 class TestGreenCutoffQuadrature:
     @pytest.mark.parametrize("lam", [2.0, 10.0, 100.0])
     def test_matches_closed_form_at_origin(self, lam):
-        q = kernel.green_cutoff_quadrature(0.0, CutoffSpec(lam), D1)
-        assert abs(q.value - kernel.green_cutoff_zero(CutoffSpec(lam), D1)) < 1e-8
+        q = kernel.green_cutoff_quadrature(0.0, lam, D1)
+        assert abs(q.value - kernel.green_cutoff_zero(lam, D1)) < 1e-8
         assert q.error_estimate < 1e-6
 
     def test_approaches_closed_green_at_large_cutoff(self):
-        q = kernel.green_cutoff_quadrature(1.0, CutoffSpec(200.0), D1)
+        q = kernel.green_cutoff_quadrature(1.0, 200.0, D1)
         assert abs(q.value - kernel.green_closed(1.0, D1)) < 1e-4
 
     def test_policies_cross_validate(self):
-        pv = kernel.green_cutoff_quadrature(0.0, CutoffSpec(2.0), D1)
-        eps = kernel.green_cutoff_quadrature(
-            0.0, CutoffSpec(2.0, kernel.FINITE_EPSILON, epsilon=1e-6), D1)
-        assert abs(pv.value - eps.value) < 1e-4
+        # the PV + delta form against the i*eps integrand itself: the gap is
+        # first order in eps, |finite-eps - PV| / eps = 0.093-0.112 here
+        for r, lam in ((0.0, 2.0), (1.0, 10.0), (0.5, 100.0)):
+            pv = kernel.green_cutoff_quadrature(r, lam, D1).value
+            for eps in (1e-4, 1e-6):
+                ratio = abs(finite_epsilon_green(r, lam, D1.k, eps) - pv) / eps
+                assert 0.05 <= ratio <= 0.2, (r, lam, eps, ratio)
 
     def test_negative_radius_rejected(self):
         with pytest.raises(ValidationError):
-            kernel.green_cutoff_quadrature(-1.0, CutoffSpec(10.0), D1)
+            kernel.green_cutoff_quadrature(-1.0, 10.0, D1)
 
 
 class TestRegularizedH0AtZero:
     def test_closed_form_at_ten(self):
-        v = kernel.regularized_h0_at_zero(CutoffSpec(10.0), D1)
+        v = kernel.regularized_h0_at_zero(10.0, D1)
         assert v.real == 1.0
         assert abs(v.imag + (2.0 / math.pi) * math.acosh(10.0)) < 1e-15
         assert abs(v - complex(1.0, -1.9055448469464207)) < 1e-13
 
     def test_cosh_half_pi_gives_one_minus_i(self):
         lam = math.cosh(0.5 * math.pi)
-        v = kernel.regularized_h0_at_zero(CutoffSpec(lam), D1)
+        v = kernel.regularized_h0_at_zero(lam, D1)
         assert abs(v - (1.0 - 1.0j)) < 1e-14
 
     def test_against_adaptive_quadrature(self):
@@ -157,13 +177,18 @@ class TestRegularizedH0AtZero:
         tail, _ = integrate.quad(lambda q: 1.0 / math.sqrt(q + 1.0), 1.0, lam,
                                  weight="alg", wvar=(-0.5, 0.0))
         oracle = complex(band / math.pi, -2.0 * tail / math.pi)
-        v = kernel.regularized_h0_at_zero(CutoffSpec(lam), D1)
+        v = kernel.regularized_h0_at_zero(lam, D1)
         assert abs(v - oracle) < 1e-10
+
+    def test_ratio_that_overflows_rejected(self):
+        # lam/k = inf would give 1 - inf*i
+        with pytest.raises(ValidationError, match=r"^lam/k overflows for lam = 1e\+300"):
+            kernel.regularized_h0_at_zero(1e300, Dispersion(1e-100))
 
     def test_scheme_difference_vs_closed_hankel(self):
         # pi * H0_reg(1/r) - pi * H0(k r) -> -2 i gamma as r -> 0
         for kr in (1e-4, 1e-5):
-            diff = (math.pi * kernel.regularized_h0_at_zero(CutoffSpec(1.0 / kr), D1)
+            diff = (math.pi * kernel.regularized_h0_at_zero(1.0 / kr, D1)
                     - math.pi * specfun.hankel1_0(kr))
             assert abs(diff - complex(0.0, -2.0 * specfun.EULER_GAMMA)) < 1e-6
 

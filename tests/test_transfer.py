@@ -5,7 +5,7 @@ import pytest
 from pointscatter import amplitudes as amp
 from pointscatter import transfer
 from pointscatter.errors import PoleError, ValidationError
-from pointscatter.kernel import CutoffSpec, Dispersion, green_cutoff_zero
+from pointscatter.kernel import Dispersion, green_cutoff_zero
 from pointscatter.transfer import Coupling
 
 D1 = Dispersion(1.0)
@@ -192,7 +192,7 @@ class TestRenormalizationFlow:
     def test_green_cutoff_zero_consistency(self):
         # the bare amplitude uses the closed-form G_lam(0)
         lam = 7.0
-        g0 = green_cutoff_zero(CutoffSpec(lam), D1)
+        g0 = green_cutoff_zero(lam, D1)
         f = transfer.bare_amplitude_with_cutoff(W, 2.0, lam)
         expected = (-1.0 / transfer.SQRT_8PI) / (0.5 - g0)
         assert f == expected

@@ -12,7 +12,7 @@ import pytest
 
 from pointscatter import amplitudes as amp
 from pointscatter import fields, kernel, singfree, transfer
-from pointscatter.errors import ValidationError
+from pointscatter.errors import ValidationError, require_cutoff_above_k
 from pointscatter.fields import GridSpec
 from pointscatter.singfree import FamilyParams
 from pointscatter.transfer import Coupling
@@ -30,13 +30,15 @@ NOT_POSITIVE = [0.0, -1.0]
 # (id, callable of the bad value, the bad values that parameter rejects)
 ARGUMENTS = [
     ("Dispersion.k", kernel.Dispersion, NOT_POSITIVE + [1.35e154]),
-    ("CutoffSpec.lam", kernel.CutoffSpec, NOT_POSITIVE),
-    ("CutoffSpec.epsilon",
-     lambda v: kernel.CutoffSpec(10.0, kernel.FINITE_EPSILON, v), NOT_POSITIVE),
+    ("green_cutoff_zero.lam", lambda v: kernel.green_cutoff_zero(v, D1), NOT_POSITIVE + [1.0]),
+    ("regularized_h0_at_zero.lam",
+     lambda v: kernel.regularized_h0_at_zero(v, D1), NOT_POSITIVE + [1.0]),
+    ("green_cutoff_quadrature.lam",
+     lambda v: kernel.green_cutoff_quadrature(0.0, v, D1), NOT_POSITIVE + [1.0]),
     ("varpi.p", lambda v: kernel.varpi(v, D1), []),
     ("green_closed.r", lambda v: kernel.green_closed(v, D1), NOT_POSITIVE),
     ("green_cutoff_quadrature.r",
-     lambda v: kernel.green_cutoff_quadrature(v, kernel.CutoffSpec(10.0), D1), [-1.0]),
+     lambda v: kernel.green_cutoff_quadrature(v, 10.0, D1), [-1.0]),
     ("momentum_identity_check.x",
      lambda v: kernel.momentum_identity_check(v, 1.0, D1, 50.0), []),
     ("momentum_identity_check.y",
@@ -99,14 +101,15 @@ def test_bad_value_is_validation_error(call, bad):
 @pytest.mark.parametrize("bad", ["a", None])
 def test_error_names_parameter_and_value(bad):
     with pytest.raises(ValidationError, match=rf"^cutoff must .*, got {bad!r}$"):
-        kernel.CutoffSpec(bad)
+        kernel.green_cutoff_zero(bad, D1)
 
 
 def test_numpy_float_and_int_accepted():
     assert kernel.Dispersion(np.float64(2.0)).k == 2.0
     for value in (10, np.float64(10.0)):
-        lam = kernel.CutoffSpec(value).lam
+        lam = require_cutoff_above_k(value, 1.0)
         assert type(lam) is float and lam == 10.0
+        assert kernel.green_cutoff_zero(value, D1) == kernel.green_cutoff_zero(10.0, D1)
     assert transfer.flow_bare_coupling(1.0, 100, np.float64(1.0)) == \
         transfer.flow_bare_coupling(1.0, 100.0, 1.0)
 
