@@ -12,17 +12,19 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import math
 import sys
 
-import numpy as np
-
 from . import fields, kernel, singfree, transfer, verify
+from ._lazy import load_on_first_use
 from .amplitudes import IncidentWave
 from .errors import PointScatterError, ValidationError, finite_real, require_cutoff_above_k
 from .singfree import FamilyParams
 from .transfer import Coupling
+
+np = load_on_first_use("numpy")  # the field renderer's; the small tables need none
 
 ERROR_PREFIX = "pointscatter: error:"
 
@@ -38,8 +40,9 @@ has 40 401 nodes."""
 
 MAX_THETA_GRID = 10_000
 """Largest ``amplitude --theta-grid``.  The amplitude is isotropic, so a
-command solves once whatever the grid; at the cap it takes ~60 ms (CSV) or
-~90 ms (JSON) on a 2-vCPU Xeon VM, most of it rendering the table."""
+command solves once whatever the grid; at the cap it takes 36-58 ms (CSV) or
+55-104 ms (JSON) in-process on a noisy 2-vCPU VM, most of it rendering the
+80 000 cells in Python, without numpy."""
 
 
 def _json_float(value: float) -> float:
@@ -178,9 +181,10 @@ def _parser() -> _Parser:
 # ``few`` column is formatted once and its token reused.
 #
 # Tables render to bytes, and a report's pieces are joined once.  A table
-# without ``few`` renders in one bytes % pass ("%.15g" for CSV, "%s" of
-# ``_json_tokens`` for JSON): most have a few dozen cells, where numpy's fixed
-# cost would outweigh any saving.
+# without ``few`` is a list of rows of floats and renders in one bytes % pass
+# ("%.15g" for CSV, "%s" of ``_json_tokens`` for JSON) without numpy: most
+# have a few dozen cells, and the commands that print only such tables
+# (amplitude, flow, family) never import numpy.
 #
 # A table with ``few`` (the field grid, tens of thousands of rows) renders in
 # blocks of rows with no Python object per cell.  Each block is one byte
@@ -209,20 +213,24 @@ def _words(text: bytes) -> np.ndarray:
     return np.frombuffer(text.ljust(-(-len(text) // 8) * 8, b"\0"), dtype=np.uint64)
 
 
-def _group_table() -> np.ndarray:
-    """The four-digit groups 0000 ... 9999 as ASCII uint32 words, then the
-    same groups with their trailing zeros as NUL (so entry 10 000 is empty)."""
+@functools.cache
+def _digit_tables():
+    """(scale, scale_hi, scale_lo, prefixes, groups) for ``_fixed_slots``,
+    built on the first field render.  scale[e + 4] = 10^(14 - e) for
+    e = -4 ... -1 (exact), split as by ``_split``; prefixes holds the words
+    of "0.", "0.0", ... "0.000", then the same with "-"; groups holds the
+    four-digit groups 0000 ... 9999 as ASCII uint32 words, then the same
+    groups with their trailing zeros as NUL (so entry 10 000 is empty)."""
+    scale = 10.0 ** np.arange(18, 14, -1)
+    prefixes = np.concatenate([_words(sign + b"0." + b"0" * zeros)
+                               for sign in (b"", b"-") for zeros in range(4)])
     ascii = np.indices((10,) * 4, dtype=np.uint8).reshape(4, -1).T + 48  # "0000" ... "9999"
     # a digit is kept when it, or a digit after it, is not "0"
     kept = np.maximum.accumulate(ascii[:, ::-1], axis=1)[:, ::-1] > 48
-    return np.ascontiguousarray(np.concatenate([ascii, ascii * kept])).view(np.uint32).ravel()
+    groups = np.ascontiguousarray(np.concatenate([ascii, ascii * kept])).view(np.uint32).ravel()
+    return (scale, *_split(scale), prefixes, groups)
 
 
-_SCALE = 10.0 ** np.arange(18, 14, -1)  # 10^(14 - e) at e + 4, e = -4 ... -1: exact
-_SCALE_HI, _SCALE_LO = _split(_SCALE)
-_PREFIXES = np.concatenate([_words(sign + b"0." + b"0" * zeros)
-                            for sign in (b"", b"-") for zeros in range(4)])
-_GROUPS = _group_table()
 _SLOT = 24  # bytes per cell: the longest tokens, such as "-2.22507385850721e-308", have 22
 _ROWS = 1 << 12  # table rows per block: keeps each block's arrays near 1 MB
 
@@ -239,17 +247,18 @@ def _fixed_slots(v: np.ndarray):
     formed exactly as p + err (Dekker's product).  A cell whose s lies
     within 1e-6 of a half, or whose m leaves [1e14, 1e15) (a carry to the
     next decade, or log10 off by one), is left out.  A slot is the prefix
-    word, then the 16 digits of 10 m as four groups of four from
-    ``_GROUPS``: the last group with a non-zero digit, and every group after
+    word, then the 16 digits of 10 m as four groups of four from the table
+    of groups: the last group with a non-zero digit, and every group after
     it, without trailing zeros.
     """
+    scale, scale_hi, scale_lo, prefixes, groups = _digit_tables()
     x = np.abs(v)
     fixed = (x >= 1e-4) & (x < 1.0)
     x[~fixed] = 0.5  # log10 of 0, nan or inf would warn
     decade = np.clip(np.floor(np.log10(x)), -4.0, -1.0).astype(np.intp) + 4  # e + 4
-    p = x * _SCALE[decade]
+    p = x * scale[decade]
     x_hi, x_lo = _split(x)
-    s_hi, s_lo = _SCALE_HI[decade], _SCALE_LO[decade]
+    s_hi, s_lo = scale_hi[decade], scale_lo[decade]
     err = ((x_hi * s_hi - p) + x_hi * s_lo + x_lo * s_hi) + x_lo * s_lo
     m = np.rint(p)
     frac = (p - m) + err
@@ -264,12 +273,12 @@ def _fixed_slots(v: np.ndarray):
     g0, g2 = high // 10 ** 4, low // 10 ** 4
     g1, g3 = high - g0 * 10 ** 4, low - g2 * 10 ** 4
     slots = np.empty((len(v), _SLOT // 8), dtype=np.uint64)
-    slots[:, 0] = _PREFIXES[4 * (v < 0) + 3 - decade]
+    slots[:, 0] = prefixes[4 * (v < 0) + 3 - decade]
     text = slots[:, 1:].view(np.uint32)
-    text[:, 0] = _GROUPS[g0 + 10_000 * ((low == 0) & (g1 == 0))]
-    text[:, 1] = _GROUPS[g1 + 10_000 * (low == 0)]
-    text[:, 2] = _GROUPS[g2 + 10_000 * (g3 == 0)]
-    text[:, 3] = _GROUPS[g3 + 10_000]
+    text[:, 0] = groups[g0 + 10_000 * ((low == 0) & (g1 == 0))]
+    text[:, 1] = groups[g1 + 10_000 * (low == 0)]
+    text[:, 2] = groups[g2 + 10_000 * (g3 == 0)]
+    text[:, 3] = groups[g3 + 10_000]
     return fixed, slots
 
 
@@ -296,7 +305,7 @@ def _fill_blocks(literals, rows, few, tokens_of) -> list[bytes]:
     row = np.concatenate([*row, _words(literals[-1])])
     slot = np.array(starts)[:, None] + np.arange(words)  # each cell's words in a row
     dense_at = slot[[i for i in range(len(starts)) if i not in few]].ravel()
-    few_at = [(slot[i], _token_slots(tokens_of(np.asarray(values, dtype=float))),
+    few_at = [(slot[i], _token_slots(tokens_of(np.asarray(values, dtype=float).tolist())),
                np.asarray(index)) for i, (values, index) in few.items()]
     pieces = []
     for start in range(0, len(dense), _ROWS):
@@ -304,7 +313,7 @@ def _fill_blocks(literals, rows, few, tokens_of) -> list[bytes]:
         flat = block.ravel()
         fixed, cells = _fixed_slots(flat)
         rest = np.flatnonzero(~fixed)
-        cells[rest] = _token_slots(tokens_of(flat[rest]))
+        cells[rest] = _token_slots(tokens_of(flat[rest].tolist()))
         matrix = np.tile(row, (len(block), 1))
         matrix[:, dense_at] = cells.reshape(len(block), len(dense_at))
         for at, tokens, index in few_at:
@@ -314,7 +323,7 @@ def _fill_blocks(literals, rows, few, tokens_of) -> list[bytes]:
 
 
 def _csv_tokens(values) -> list[bytes]:
-    return [b"%.15g" % v for v in values.tolist()]
+    return [b"%.15g" % v for v in values]
 
 
 def _csv_bytes(header, rows, few=None) -> bytes:
@@ -323,32 +332,32 @@ def _csv_bytes(header, rows, few=None) -> bytes:
         literals = [b"", *[b","] * (len(header) - 1), b"\r\n"]
         return b"".join([head, *_fill_blocks(literals, rows, few, _csv_tokens)])
     template = (b",".join([b"%.15g"] * len(header)) + b"\r\n") * len(rows)
-    return head + template % tuple(np.asarray(rows, dtype=float).ravel().tolist())
+    return head + template % tuple(itertools.chain.from_iterable(rows))
 
 
 _JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+_DBL_MAX = sys.float_info.max
 
 
-def _json_tokens(table) -> list[bytes]:
-    """Each cell rounded to 15 significant digits, as json.dumps writes it.
+def _json_tokens(values) -> list[bytes]:
+    """Each of the floats ``values`` rounded to 15 significant digits, as
+    json.dumps writes it.
 
     A "%.15g" token already reads as repr(float(token)), which is what
     json.dumps writes, unless the token is integral ("-0", "3"), has
     exponent e+15 (repr stays positional below 1e16), is subnormal or near
     DBL_MAX (they lose digits or round to inf), or is not finite.  Those
     cells are rewritten through repr.  The test that finds them also takes
-    harmless others: every |v| >= 5e13 passes |v - rint(v)| <= 1e-14 |v|.
+    harmless others: every |v| >= 5e13 lies within 1e-14 |v| of an integer.
     """
-    flat = table.ravel()
-    tokens = (b"%.15g\n" * flat.size % tuple(flat.tolist())).split(b"\n")
+    tokens = (b"%.15g\n" * len(values) % tuple(values)).split(b"\n")
     tokens.pop()
-    finite = np.isfinite(flat)
-    size = np.abs(flat)
-    v = np.where(finite, flat, 0.0)
-    slow = ~finite | (size < 1e-290) | (np.abs(v - np.rint(v)) <= 1e-14 * size)
-    for i in np.flatnonzero(slow).tolist():
-        text = repr(float(tokens[i]))
-        tokens[i] = _JSON_NONFINITE.get(text, text).encode("ascii")
+    remainder = math.remainder  # v less its nearest integer, exactly
+    for i, v in enumerate(values):
+        size = abs(v)
+        if not (1e-290 <= size <= _DBL_MAX and abs(remainder(v, 1.0)) > 1e-14 * size):
+            text = repr(float(tokens[i]))
+            tokens[i] = _JSON_NONFINITE.get(text, text).encode("ascii")
     return tokens
 
 
@@ -369,7 +378,8 @@ def _json_table(header, rows, few=None) -> list[bytes]:
         # a literal "%" of a name must survive the % pass
         cells = b",\n".join([member.replace(b"%", b"%%") + b"%s" for member in members])
         row = b"    {\n" + cells + b"\n    }"
-        body = [b",\n".join([row] * n) % tuple(_json_tokens(np.asarray(rows, dtype=float)))]
+        flat = list(itertools.chain.from_iterable(rows))
+        body = [b",\n".join([row] * n) % tuple(_json_tokens(flat))]
     return [b"[\n", *body, b"\n  ]"]
 
 
@@ -551,7 +561,7 @@ def cmd_field(args):
         far = (far_header, np.concatenate([np.column_stack((
             np.full(FAR_FIELD_NTHETA, s.kr), s.theta, s.psi.real, s.psi.imag,
             s.psi_asymptotic.real, s.psi_asymptotic.imag, s.residual,
-            s.residual / s.scale)) for s in samples]))
+            s.residual / s.scale)) for s in samples]).tolist())
 
     if args.format == "csv":
         outputs = [(None, _csv_bytes(header, rows, few))]

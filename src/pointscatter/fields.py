@@ -17,8 +17,7 @@ import warnings
 from dataclasses import dataclass
 from typing import NamedTuple
 
-import numpy as np
-
+from ._lazy import load_on_first_use
 from .amplitudes import IncidentWave
 from .errors import GridCoarseWarning, ValidationError, finite_real
 from .kernel import FOUR_PI, TWO_PI
@@ -26,6 +25,8 @@ from .singfree import FamilyParams
 from .specfun import EULER_GAMMA, hankel1_0_array
 from .transfer import (Coupling, _amplitude_pole_denominator, _closed_form_amplitude,
                        solve_fundamental)
+
+np = load_on_first_use("numpy")
 
 ORIGIN_EXCLUSION_KR = 1e-6
 

@@ -21,11 +21,12 @@ import sys
 from dataclasses import dataclass
 from typing import NamedTuple
 
-import scipy  # bare package: scipy.integrate loads on first use
-
+from ._lazy import load_on_first_use
 from .errors import (ConvergenceError, QuadratureError, ValidationError, finite_real,
                      require_cutoff_above_k)
 from .specfun import bessel_j0, hankel1_0
+
+scipy = load_on_first_use("scipy")  # scipy.integrate loads when first reached
 
 TWO_PI = 2.0 * math.pi
 FOUR_PI = 4.0 * math.pi
@@ -93,12 +94,17 @@ def green_cutoff_zero(lam: float, d: Dispersion) -> complex:
     """Closed form of the cutoff Green function at the origin.
 
     G_lam(0) = -(1/4 pi) ln(lam^2/k^2 - 1) - i/4.  The imaginary part is the
-    on-shell delta contribution and is exactly -1/4 for every cutoff.
+    on-shell delta contribution and is exactly -1/4 for every cutoff.  Where
+    (lam/k)^2 overflows, the log is taken as ln(lam/k - 1) + ln(lam/k + 1).
     """
-    ratio = require_cutoff_above_k(lam, d.k) / d.k
-    if not math.isfinite(ratio * ratio):
-        raise ValidationError(f"(lam/k)^2 overflows for lam/k = {ratio!r}")
-    return complex(-math.log(ratio * ratio - 1.0) / (4.0 * math.pi), -0.25)
+    lam = require_cutoff_above_k(lam, d.k)
+    ratio = lam / d.k
+    if not math.isfinite(ratio):
+        raise ValidationError(f"lam/k overflows for lam = {lam!r}, k = {d.k!r}")
+    square = ratio * ratio
+    log_term = (math.log(square - 1.0) if math.isfinite(square)
+                else math.log(ratio - 1.0) + math.log(ratio + 1.0))
+    return complex(-log_term / (4.0 * math.pi), -0.25)
 
 
 def regularized_h0_at_zero(lam: float, d: Dispersion) -> complex:

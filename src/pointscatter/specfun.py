@@ -14,10 +14,11 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
-import scipy  # bare package: scipy.special loads on first use
-
+from ._lazy import load_on_first_use
 from .errors import DomainError
+
+np = load_on_first_use("numpy")
+scipy = load_on_first_use("scipy")  # scipy.special loads when first reached
 
 EULER_GAMMA = 0.5772156649015329
 """Euler-Mascheroni constant, 16 significant digits, fixed at compile time."""

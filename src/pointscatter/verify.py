@@ -18,15 +18,16 @@ import os
 from dataclasses import dataclass
 from decimal import Context, Decimal, localcontext
 
-import numpy as np
-import scipy  # bare package: scipy.integrate loads on first use
-
 from . import fields, kernel, singfree, specfun, transfer
+from ._lazy import load_on_first_use
 from .amplitudes import IncidentWave
 from .errors import ConvergenceError, DomainError, ValidationError, finite_real
 from .kernel import Dispersion
 from .singfree import FamilyParams
 from .transfer import Coupling
+
+np = load_on_first_use("numpy")
+scipy = load_on_first_use("scipy")  # scipy.integrate loads when first reached
 
 DEFAULT_SEED = 20260808
 SEED_ENV_VAR = "POINTSCATTER_SEED"

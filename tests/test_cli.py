@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from scipy.special import hankel1
 
 from pointscatter import cli, fields, kernel, transfer, verify
+from pointscatter._lazy import load_on_first_use
 from pointscatter.errors import GridCoarseWarning
 from pointscatter.amplitudes import IncidentWave
 from pointscatter.singfree import FamilyParams
@@ -201,7 +202,14 @@ class TestCutoffDiagnostics:
         assert run(["family", "--k=1e-100", "--lambda=1e300"], capsys) == expected
 
     def test_flow_ratio_square_overflow(self, capsys):
-        expected = (1, "", f"{self.ERROR}(lam/k)^2 overflows for lam/k = inf\n")
+        # (lam/k)^2 overflows but lam/k does not: a finite row, as family prints
+        code, out, err = run(["flow", "--lambda=1e300"], capsys)
+        assert (code, err) == (0, "")
+        assert "inf" not in out and "nan" not in out
+        g0 = float(out.splitlines()[1].split(",")[4])  # re_green_cutoff_zero
+        assert g0 == pytest.approx(-300.0 * math.log(10.0) / (2.0 * math.pi), rel=1e-14)
+        # lam/k itself overflowing is the error, worded as for family
+        expected = (1, "", f"{self.ERROR}lam/k overflows for lam = 1e+300, k = 1e-100\n")
         assert run(["flow", "--k=1e-100", "--lambda=1e300"], capsys) == expected
 
 
@@ -541,17 +549,67 @@ print(json.dumps([codes, [m for m in ("scipy.special", "scipy.integrate")
                           if m in sys.modules]]))
 """
 
-    def _run(self, argvs):
-        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
-        proc = subprocess.run([sys.executable, "-c", self.SCRIPT, json.dumps(argvs)],
-                              env=env, capture_output=True, text=True, check=True)
-        return json.loads(proc.stdout)
-
     def test_closed_form_commands_load_neither(self):
-        assert self._run([["amplitude"], ["flow"], ["family"]]) == [[0, 0, 0], []]
+        argvs = [["amplitude"], ["flow"], ["family"]]
+        assert _in_fresh_interpreter(self.SCRIPT, argvs) == [[0, 0, 0], []]
 
     def test_verify_loads_both(self):
-        assert self._run([["verify"]]) == [[0], ["scipy.special", "scipy.integrate"]]
+        assert (_in_fresh_interpreter(self.SCRIPT, [["verify"]])
+                == [[0], ["scipy.special", "scipy.integrate"]])
+
+
+class TestNumpyLoadsLazily:
+    """numpy and scipy load on first use: importing the CLI and running the
+    closed-form commands, in either format, execute neither package.  Each
+    name holds a stand-in from the import on, so the check is for the
+    packages' submodules, which only running a package imports."""
+
+    SCRIPT = """
+import contextlib, io, json, sys
+from pointscatter import cli
+codes = []
+with contextlib.redirect_stdout(io.StringIO()):
+    for argv in json.loads(sys.argv[1]):
+        codes.append(cli.main(argv))
+print(json.dumps([codes, sorted({m.split(".")[0] for m in sys.modules
+                                 if m.startswith(("numpy.", "scipy."))})]))
+"""
+
+    def test_closed_form_commands_load_neither(self):
+        argvs = [[command, *fmt] for command in ("amplitude", "flow", "family")
+                 for fmt in ([], ["--format=json"])]
+        assert _in_fresh_interpreter(self.SCRIPT, argvs) == [[0] * 6, []]
+
+    @pytest.mark.parametrize("argv", [["field", "--grid=-1,1,5,-1,1,5"], ["verify"]])
+    def test_field_and_verify_load_both(self, argv):
+        assert _in_fresh_interpreter(self.SCRIPT, [argv]) == [[0], ["numpy", "scipy"]]
+
+
+def _in_fresh_interpreter(script, argvs):
+    """``script`` run by a new interpreter on the JSON of ``argvs``; its
+    printed JSON."""
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    proc = subprocess.run([sys.executable, "-c", script, json.dumps(argvs)],
+                          env=env, capture_output=True, text=True, check=True)
+    return json.loads(proc.stdout)
+
+
+def test_load_on_first_use(tmp_path, monkeypatch):
+    # the module's code runs on the first attribute read, not before
+    (tmp_path / "lazy_probe.py").write_text(
+        "import pathlib\npathlib.Path(__file__).with_suffix('.ran').write_text('')\nVALUE = 42\n")
+    monkeypatch.syspath_prepend(str(tmp_path))
+    try:
+        probe = load_on_first_use("lazy_probe")
+        assert not (tmp_path / "lazy_probe.ran").exists()
+        assert sys.modules["lazy_probe"] is probe
+        assert probe.VALUE == 42 and (tmp_path / "lazy_probe.ran").exists()
+        assert load_on_first_use("lazy_probe") is probe
+    finally:
+        sys.modules.pop("lazy_probe", None)
+    assert load_on_first_use("json") is json
+    with pytest.raises(ModuleNotFoundError, match="no_such_module"):
+        load_on_first_use("no_such_module")
 
 
 def _reference_field_payloads(k, theta0, source, grid_axes, fmt):

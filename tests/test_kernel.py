@@ -1,4 +1,5 @@
 import math
+import sys
 
 import pytest
 from hypothesis import given
@@ -125,11 +126,18 @@ class TestGreenCutoffZero:
         with pytest.raises(ValidationError):
             kernel.green_cutoff_zero(0.5, D1)
 
-    def test_ratio_whose_square_overflows_rejected(self):
-        assert math.isfinite(kernel.green_cutoff_zero(1e154, D1).real)
-        for lam in (1.35e154, 1e300):
-            with pytest.raises(ValidationError):
-                kernel.green_cutoff_zero(lam, D1)
+    def test_ratio_whose_square_overflows_is_finite(self):
+        # ln(lam^2/k^2 - 1) = 2 ln(lam/k) to double precision on both sides
+        # of lam/k = sqrt(DBL_MAX), where the square starts to overflow
+        for lam in (1e154, 1.35e154, 1e300, sys.float_info.max):
+            g = kernel.green_cutoff_zero(lam, D1)
+            assert g.real == pytest.approx(-math.log(lam) / (2.0 * math.pi), rel=1e-15)
+            assert g.imag == -0.25
+
+    def test_ratio_that_overflows_rejected(self):
+        with pytest.raises(ValidationError,
+                           match=r"^lam/k overflows for lam = 1e\+300, k = 1e-100$"):
+            kernel.green_cutoff_zero(1e300, Dispersion(1e-100))
 
 
 class TestGreenCutoffQuadrature:
