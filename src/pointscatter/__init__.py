@@ -24,7 +24,6 @@ from .amplitudes import (
 from .errors import (
     ConvergenceError,
     DomainError,
-    GridCoarseWarning,
     OnShellAtomError,
     PointScatterError,
     PoleError,
@@ -33,10 +32,8 @@ from .errors import (
     ValidationError,
 )
 from .fields import (
-    CurrentGrid,
     FieldGrid,
     GridSpec,
-    current_density,
     current_divergence,
     far_field_circle_residuals,
     field_values_at,
@@ -72,6 +69,7 @@ from .specfun import (
     hankel1_0,
     hankel1_0_array,
     hankel1_0_small_x_expansion,
+    hankel1_1_array,
 )
 from .transfer import (
     Coupling,
@@ -81,7 +79,6 @@ from .transfer import (
     bare_amplitude_with_cutoff,
     flow_bare_coupling,
     fundamental_entries,
-    renormalize_bare,
     scattering_amplitude_dfss,
     scattering_amplitude_renormalized,
     solve_fundamental,

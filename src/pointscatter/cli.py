@@ -515,7 +515,7 @@ def cmd_family(args):
     })
 
 
-def _field_rows(grid: fields.FieldGrid, current: fields.CurrentGrid):
+def _field_rows(grid: fields.FieldGrid):
     """The field table, row (i, j) for node (x[i], y[j]) in ij order: x, y and
     the mask as few-valued columns, the field and current dense."""
     header = ["x", "y", "re_psi", "im_psi", "abs2_psi", "jx", "jy", "mask"]
@@ -523,7 +523,7 @@ def _field_rows(grid: fields.FieldGrid, current: fields.CurrentGrid):
     nx, ny = v.shape
     # hypot and float_power match scalar abs(psi) ** 2 bit for bit; np.abs and ** 2 do not
     abs2 = np.float_power(np.hypot(v.real, v.imag), 2)
-    dense = (v.real, v.imag, abs2, current.jx, current.jy)
+    dense = (v.real, v.imag, abs2, grid.jx, grid.jy)
     few = {0: (grid.x, np.repeat(np.arange(nx), ny)),
            1: (grid.y, np.tile(np.arange(ny), nx)),
            7: ((0.0, 1.0), np.ravel(grid.excluded_mask).astype(np.intp))}
@@ -546,9 +546,10 @@ def cmd_field(args):
         # one overflow rule for both fields: a value that leaves the float
         # range, or turns into inf - inf or inf * 0, is an error, not a NaN cell
         with np.errstate(over="raise", invalid="raise"):
-            grid = (fields.psi0_field(params, w.k, args.grid) if args.psi0_only
-                    else fields.total_field(w, z, args.grid))
-            header, rows, few = _field_rows(grid, fields.current_density(grid, k=w.k))
+            # the grid is a temporary: its arrays are freed before rendering
+            header, rows, few = _field_rows(
+                fields.psi0_field(params, w.k, args.grid) if args.psi0_only
+                else fields.total_field(w, z, args.grid))
     except FloatingPointError:
         raise ValidationError(
             f"{what} overflows its values, |psi|^2 or the current on this grid") from None

@@ -97,7 +97,3 @@ class QuadratureError(PointScatterError):
 
 class ConvergenceError(PointScatterError):
     """A limit or extrapolation sequence failed to contract."""
-
-
-class GridCoarseWarning(UserWarning):
-    """Finite-difference grid spacing exceeds the advertised error budget."""

@@ -3,9 +3,11 @@
 The total field is the incident plane wave plus c'/(4 pi) times the outgoing
 Hankel function; it genuinely diverges at the scatterer, so grid points with
 k r below the exclusion threshold are masked (NaN values behind a boolean
-mask), never evaluated.  Currents come from 2nd-order centered differences,
-which keeps every advertised tolerance without adaptive machinery provided
-the spacing stays at or below 1/(50 k).
+mask), never evaluated.  The probability current J = 2 Im(psi* grad psi)
+comes with the field, from its closed-form gradient: the plane wave's
+i k_inc psi_inc and the scattered wave's -(c' k/(4 pi)) H1(k r) r/|r|.  It is
+exact to rounding on every unmasked node, the rim and the scatterer's
+neighbours included, at any grid spacing.
 """
 
 from __future__ import annotations
@@ -13,16 +15,15 @@ from __future__ import annotations
 import math
 import numbers
 import sys
-import warnings
 from dataclasses import dataclass
 from typing import NamedTuple
 
 from ._lazy import load_on_first_use
 from .amplitudes import IncidentWave
-from .errors import GridCoarseWarning, ValidationError, finite_real
+from .errors import ValidationError, finite_real
 from .kernel import FOUR_PI, TWO_PI
 from .singfree import FamilyParams
-from .specfun import EULER_GAMMA, hankel1_0_array
+from .specfun import EULER_GAMMA, hankel1_0_array, hankel1_1_array
 from .transfer import (Coupling, _amplitude_pole_denominator, _closed_form_amplitude,
                        solve_fundamental)
 
@@ -56,7 +57,8 @@ class GridSpec:
         for axis, lo, hi, n in (("x", self.x0, self.x1, self.nx),
                                 ("y", self.y0, self.y1, self.ny)):
             h = (hi - lo) / (n - 1)
-            # the current stencil divides by spacing products, which must not underflow
+            # outside input: nodes must be finite and distinct, and the
+            # divergence stencil divides by products of two spacings
             if not (math.isfinite(h) and h * h >= sys.float_info.min):
                 raise ValidationError(
                     f"{axis} spacing {h!r} must be finite and its square at least "
@@ -69,31 +71,19 @@ class GridSpec:
 
 @dataclass
 class FieldGrid:
-    """Sampled complex field; values[i, j] belongs to (x[i], y[j]).
+    """Sampled complex field and its probability current J = (jx, jy);
+    values[i, j], jx[i, j] and jy[i, j] belong to (x[i], y[j]).
 
-    Masked points hold NaN and are never meaningful; everything downstream
-    must honor ``excluded_mask``.
+    Masked points hold NaN in all three and are never meaningful; everything
+    downstream must honor ``excluded_mask``.
     """
 
     x: np.ndarray
     y: np.ndarray
     values: np.ndarray
-    excluded_mask: np.ndarray
-
-
-@dataclass
-class CurrentGrid:
-    """Probability current components on the same axes as the source field.
-
-    Defined on interior points whose finite-difference stencil touches no
-    masked point; elsewhere jx/jy hold NaN and valid_mask is False.
-    """
-
-    x: np.ndarray
-    y: np.ndarray
     jx: np.ndarray
     jy: np.ndarray
-    valid_mask: np.ndarray
+    excluded_mask: np.ndarray
 
 
 def _incident_values(w: IncidentWave, X, Y):
@@ -112,68 +102,59 @@ def field_values_at(w: IncidentWave, c_prime: complex, xs, ys) -> np.ndarray:
 
 
 def total_field(w: IncidentWave, z: Coupling, spec: GridSpec) -> FieldGrid:
-    """psi(x, y) = e^{i k.r} / (2 pi) + (c'/(4 pi)) H0^(1)(k r) on the grid.
+    """psi(x, y) = e^{i k.r} / (2 pi) + (c'/(4 pi)) H0^(1)(k r) on the grid,
+    with its current.
 
     k.r = -varpi(p0) x + p0 y for the right-incident wave; c' comes from the
-    fundamental-route solve.  Points with k r below the exclusion threshold
-    are masked.
+    fundamental-route solve.  With grad psi = i (-varpi(p0), p0) psi_inc
+    + s (x, y), s = -(c' k/(4 pi)) H1^(1)(k r)/r, the current is
+    J = 2 (-varpi(p0), p0) Re(psi* psi_inc) + 2 (x, y) Im(psi* s).  Points
+    with k r below the exclusion threshold are masked.
     """
-    sol = solve_fundamental(w, z)
+    a = solve_fundamental(w, z).c_prime / FOUR_PI
     x, y = spec.axes()
     X, Y = np.meshgrid(x, y, indexing="ij")
-    kr = w.k * np.hypot(X, Y)
+    r = np.hypot(X, Y)
+    kr = w.k * r
     mask = kr < ORIGIN_EXCLUSION_KR
-    values = _incident_values(w, X, Y).astype(complex)
-    if (~mask).any():
-        values[~mask] += (sol.c_prime / FOUR_PI) * hankel1_0_array(kr[~mask])
+    keep = ~mask
+    incident = _incident_values(w, X, Y)
+    values = incident.copy()
+    values[keep] += a * hankel1_0_array(kr[keep])
     values[mask] = complex(math.nan, math.nan)
-    return FieldGrid(x, y, values, mask)
+    # Re(psi* psi_inc) and Im(psi* s) in real arithmetic: no full-grid complex temporary
+    overlap = 2.0 * (values.real * incident.real + values.imag * incident.imag)
+    jx, jy = -w.varpi0 * overlap, w.p0 * overlap
+    s = (-a * w.k) * hankel1_1_array(kr[keep]) / r[keep]
+    v = values[keep]
+    radial = 2.0 * (v.real * s.imag - v.imag * s.real)
+    jx[keep] += X[keep] * radial
+    jy[keep] += Y[keep] * radial
+    return FieldGrid(x, y, values, jx, jy, mask)
 
 
 def psi0_field(params: FamilyParams, k: float, spec: GridSpec) -> FieldGrid:
-    """Non-scattering solution psi0(y) = (b+ e^{iky} + b- e^{-iky}) / (2 pi).
+    """Non-scattering solution psi0(y) = (b+ e^{iky} + b- e^{-iky}) / (2 pi),
+    with its current.
 
     Constant in x by construction (the rows are literally copies), finite
-    everywhere, so the mask is empty.
+    everywhere, so the mask is empty.  Only d/dy psi0 =
+    i k (b+ e^{iky} - b- e^{-iky}) / (2 pi) is nonzero, so jx is exactly 0.
     """
     k = finite_real("wavenumber", k, above=0.0)
     x, y = spec.axes()
-    row = (params.b_plus * np.exp(1j * k * y) + params.b_minus * np.exp(-1j * k * y)) / TWO_PI
+    up, down = params.b_plus * np.exp(1j * k * y), params.b_minus * np.exp(-1j * k * y)
+    row = (up + down) / TWO_PI
+    dy_row = (1j * k) * (up - down) / TWO_PI
     values = np.tile(row, (len(x), 1))
-    return FieldGrid(x, y, values, np.zeros(values.shape, dtype=bool))
+    jy = np.tile(2.0 * np.imag(np.conj(row) * dy_row), (len(x), 1))
+    return FieldGrid(x, y, values, np.zeros(jy.shape), jy, np.zeros(values.shape, dtype=bool))
 
 
-def current_density(field: FieldGrid, k: float | None = None) -> CurrentGrid:
-    """Probability current J = -i (psi* grad psi - psi grad psi*) by centered
-    differences.
-
-    Passing the wavenumber enables the spacing check: above 1/(50 k) the
-    2nd-order stencil no longer meets the 1e-4 relative budget and a
-    GridCoarseWarning is issued.
-    """
-    if k is not None:
-        h = max(float(np.max(np.diff(field.x))), float(np.max(np.diff(field.y))))
-        if h > (1.0 + 1e-9) / (50.0 * k):
-            warnings.warn(
-                f"grid spacing {h:.4g} exceeds 1/(50 k) = {1.0 / (50.0 * k):.4g}; "
-                "current-density error budget not met", GridCoarseWarning)
-    v = field.values
-    dvx = np.gradient(v, field.x, axis=0)
-    dvy = np.gradient(v, field.y, axis=1)
-    jx = 2.0 * np.imag(np.conj(v) * dvx)
-    jy = 2.0 * np.imag(np.conj(v) * dvy)
-    valid = np.isfinite(jx) & np.isfinite(jy)
-    valid[0, :] = valid[-1, :] = False  # one-sided stencils at the rim
-    valid[:, 0] = valid[:, -1] = False
-    jx = np.where(valid, jx, math.nan)
-    jy = np.where(valid, jy, math.nan)
-    return CurrentGrid(field.x, field.y, jx, jy, valid)
-
-
-def current_divergence(current: CurrentGrid) -> tuple[np.ndarray, np.ndarray]:
-    """div J by a second round of centered differences; returns (div, valid)."""
-    div = (np.gradient(current.jx, current.x, axis=0)
-           + np.gradient(current.jy, current.y, axis=1))
+def current_divergence(field: FieldGrid) -> tuple[np.ndarray, np.ndarray]:
+    """div J by centered differences of the exact current; returns (div, valid)."""
+    div = (np.gradient(field.jx, field.x, axis=0)
+           + np.gradient(field.jy, field.y, axis=1))
     valid = np.isfinite(div)
     valid[0, :] = valid[-1, :] = False
     valid[:, 0] = valid[:, -1] = False

@@ -90,20 +90,25 @@ def green_closed(r: float, d: Dispersion) -> complex:
     return -0.25j * hankel1_0(d.k * r)
 
 
-def green_cutoff_zero(lam: float, d: Dispersion) -> complex:
-    """Closed form of the cutoff Green function at the origin.
-
-    G_lam(0) = -(1/4 pi) ln(lam^2/k^2 - 1) - i/4.  The imaginary part is the
-    on-shell delta contribution and is exactly -1/4 for every cutoff.  Where
-    (lam/k)^2 overflows, the log is taken as ln(lam/k - 1) + ln(lam/k + 1).
-    """
+def _cutoff_ratio(lam, d: Dispersion) -> float:
+    """lam/k for a cutoff above k; a ratio beyond the float range is an error."""
     lam = require_cutoff_above_k(lam, d.k)
     ratio = lam / d.k
     if not math.isfinite(ratio):
         raise ValidationError(f"lam/k overflows for lam = {lam!r}, k = {d.k!r}")
-    square = ratio * ratio
-    log_term = (math.log(square - 1.0) if math.isfinite(square)
-                else math.log(ratio - 1.0) + math.log(ratio + 1.0))
+    return ratio
+
+
+def green_cutoff_zero(lam: float, d: Dispersion) -> complex:
+    """Closed form of the cutoff Green function at the origin.
+
+    G_lam(0) = -(1/4 pi) ln(lam^2/k^2 - 1) - i/4.  The imaginary part is the
+    on-shell delta contribution and is exactly -1/4 for every cutoff.  The
+    log is taken as ln(lam/k - 1) + ln(lam/k + 1): that neither cancels near
+    lam/k = 1 nor overflows with (lam/k)^2.
+    """
+    ratio = _cutoff_ratio(lam, d)
+    log_term = math.log(ratio - 1.0) + math.log(ratio + 1.0)
     return complex(-log_term / (4.0 * math.pi), -0.25)
 
 
@@ -114,11 +119,7 @@ def regularized_h0_at_zero(lam: float, d: Dispersion) -> complex:
     traveling band, the log-divergent imaginary part from the evanescent
     tails.
     """
-    lam = require_cutoff_above_k(lam, d.k)
-    ratio = lam / d.k
-    if not math.isfinite(ratio):
-        raise ValidationError(f"lam/k overflows for lam = {lam!r}, k = {d.k!r}")
-    return complex(1.0, -(2.0 / math.pi) * math.acosh(ratio))
+    return complex(1.0, -(2.0 / math.pi) * math.acosh(_cutoff_ratio(lam, d)))
 
 
 def _quad(f, a, b, **kwargs):

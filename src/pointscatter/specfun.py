@@ -1,10 +1,12 @@
 """Zero-order cylinder functions: J0, Y0 and the outgoing Hankel function.
 
 Everything downstream (Green functions, regularized limits, wavefields) is
-assembled from these three functions.  Values come from ``scipy.special.j0``
-and ``y0``; H0(1) is built as J0 + i Y0 from those same two values, so the
-identity holds exactly, and the grid-fill ``hankel1_0_array`` equals the
-scalar exactly.  Arguments follow "positive real in, value out", else
+assembled from these three functions, plus the first-order Hankel function
+H1(1) = -H0(1)' for the gradient of a wavefield.  Values come from
+``scipy.special.j0`` and ``y0``; H0(1) is built as J0 + i Y0 from those same
+two values, so the identity holds exactly, and the grid-fill
+``hankel1_0_array`` equals the scalar exactly.  H1(1) is J1 + i Y1 in the
+same way.  Arguments follow "positive real in, value out", else
 ``DomainError``.  H0(1) at exactly zero is a hard error by design: the
 logarithmic divergence there must be handled explicitly by the caller (see
 ``kernel.regularized_h0_at_zero``).
@@ -80,11 +82,23 @@ def hankel1_0_small_x_expansion(x: float) -> complex:
     return complex(1.0, (2.0 / math.pi) * (math.log(0.5 * x) + EULER_GAMMA))
 
 
-def hankel1_0_array(x) -> np.ndarray:
-    """Elementwise ``hankel1_0`` for grid fills."""
+def _positive_array(x) -> np.ndarray:
     arr = np.asarray(x, dtype=float)
     if not np.all(np.isfinite(arr)):
         raise DomainError("array argument contains non-finite entries")
     if np.any(arr <= 0.0):
         raise DomainError("array argument out of domain (x > 0)")
+    return arr
+
+
+def hankel1_0_array(x) -> np.ndarray:
+    """Elementwise ``hankel1_0`` for grid fills."""
+    arr = _positive_array(x)
     return scipy.special.j0(arr) + 1j * scipy.special.y0(arr)
+
+
+def hankel1_1_array(x) -> np.ndarray:
+    """Elementwise H1^(1)(x) = J1(x) + i Y1(x) = -d/dx H0^(1)(x), for x > 0:
+    the radial derivative behind the exact current of a grid fill."""
+    arr = _positive_array(x)
+    return scipy.special.j1(arr) + 1j * scipy.special.y1(arr)

@@ -226,33 +226,23 @@ def scattering_amplitude_renormalized(w: IncidentWave, z_tilde: Coupling) -> com
     return _closed_form_amplitude(z_tilde.value)
 
 
-def renormalize_bare(z_bare: complex, lam: float, mu: float) -> complex:
-    """Renormalized coupling (z_bare^{-1} + ln(lam/mu)/(2 pi))^{-1}."""
-    z_bare = finite_complex("bare coupling", z_bare)
-    if z_bare == 0:
-        raise ValidationError("bare coupling must be nonzero")
-    lam, mu = finite_real("cutoff", lam, above=0.0), finite_real("scale mu", mu, above=0.0)
+def flow_bare_coupling(z: complex, lam: float, mu: float) -> complex:
+    """The running coupling: z at scale mu, run to scale lam.
+
+    1/z(lam) = 1/z(mu) - ln(lam/mu)/(2 pi).  With the renormalized z~ at mu
+    and the cutoff lam it is the bare coupling; with the scales swapped it
+    renormalizes a bare coupling, so each map is the other's inverse.
+    """
+    z = finite_complex("coupling", z)
+    if z == 0:
+        raise ValidationError("coupling must be nonzero")
+    lam, mu = finite_real("scale lam", lam, above=0.0), finite_real("scale mu", mu, above=0.0)
     log_term = math.log(lam / mu) / (2.0 * math.pi)
     if log_term == 0.0:
-        return z_bare  # lam = mu is an exact fixed point of the map
-    den = 1.0 / z_bare + log_term
+        return z  # lam = mu is an exact fixed point of the map
+    den = 1.0 / z - log_term
     if den == 0:
-        raise PoleError("renormalization map denominator vanished")
-    return 1.0 / den
-
-
-def flow_bare_coupling(z_tilde: complex, lam: float, mu: float) -> complex:
-    """Bare coupling that renormalizes to z_tilde at (lam, mu): the inverse map."""
-    z_tilde = finite_complex("renormalized coupling", z_tilde)
-    if z_tilde == 0:
-        raise ValidationError("renormalized coupling must be nonzero")
-    lam, mu = finite_real("cutoff", lam, above=0.0), finite_real("scale mu", mu, above=0.0)
-    log_term = math.log(lam / mu) / (2.0 * math.pi)
-    if log_term == 0.0:
-        return z_tilde
-    den = 1.0 / z_tilde - log_term
-    if den == 0:
-        raise PoleError("bare coupling diverges at this cutoff (flow pole)")
+        raise PoleError("running coupling diverges at this scale (flow pole)")
     return 1.0 / den
 
 

@@ -3,10 +3,12 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import simpson
+from scipy.special import hankel1
 
 from pointscatter import amplitudes as amp
 from pointscatter import fields, transfer
-from pointscatter.errors import GridCoarseWarning, ValidationError
+from pointscatter.errors import ValidationError
 from pointscatter.fields import GridSpec
 from pointscatter.singfree import FamilyParams
 from pointscatter.transfer import Coupling
@@ -156,38 +158,85 @@ class TestPsi0:
     def test_transverse_current_vanishes(self):
         spec = GridSpec(-1.0, 1.0, 101, -1.0, 1.0, 101)
         grid = fields.psi0_field(FamilyParams(0.3 + 1.0j, -2.0), 1.0, spec)
-        cur = fields.current_density(grid, k=1.0)
-        assert np.nanmax(np.abs(cur.jx)) <= 1e-10
+        assert np.all(grid.jx == 0.0)
+
+    @pytest.mark.parametrize("b_plus, b_minus", [(1.0, 1.0), (1.0, -1.0), (0.3 + 1.0j, -2.0)])
+    def test_longitudinal_current_is_uniform(self, b_plus, b_minus):
+        # J_y = k (|b+|^2 - |b-|^2) / (2 pi^2): the cross terms cancel
+        k = 1.3
+        grid = fields.psi0_field(FamilyParams(b_plus, b_minus), k, self.SPEC)
+        expected = k * (abs(b_plus) ** 2 - abs(b_minus) ** 2) / (2.0 * math.pi ** 2)
+        assert np.max(np.abs(grid.jy - expected)) <= 1e-15
+
+
+def _reference_current(w, z, grid):
+    """J = 2 Im(psi* grad psi) from scipy's hankel1 of orders 0 and 1, with
+    grad H0(k r) = -k H1(k r) r/|r|; NaN at the masked origin."""
+    c_prime = transfer.solve_fundamental(w, z).c_prime
+    X, Y = np.meshgrid(grid.x, grid.y, indexing="ij")
+    r = np.hypot(X, Y)
+    incident = np.exp(1j * (-w.varpi0 * X + w.p0 * Y)) / (2.0 * math.pi)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        psi = incident + c_prime / (4.0 * math.pi) * hankel1(0, w.k * r)
+        radial = -c_prime * w.k / (4.0 * math.pi) * hankel1(1, w.k * r) / r
+    jx = 2.0 * np.imag(np.conj(psi) * (-1j * w.varpi0 * incident + radial * X))
+    jy = 2.0 * np.imag(np.conj(psi) * (1j * w.p0 * incident + radial * Y))
+    return jx, jy
+
+
+def _rim_flux(grid):
+    """Net outward flux of J through the window's rim, and the flux of |J.n|,
+    by Simpson's rule along each edge."""
+    edges = ((grid.jx[-1, :], grid.y), (-grid.jx[0, :], grid.y),
+             (grid.jy[:, -1], grid.x), (-grid.jy[:, 0], grid.x))
+    net = sum(simpson(jn, x=t) for jn, t in edges)
+    total = sum(simpson(np.abs(jn), x=t) for jn, t in edges)
+    return net, total
 
 
 class TestCurrentDensity:
-    def test_plane_wave_current(self):
-        x = np.linspace(0.0, 2.0, 101)
-        y = np.linspace(0.0, 2.0, 101)
-        X, _ = np.meshgrid(x, y, indexing="ij")
-        psi = np.exp(1j * X) / (2.0 * math.pi)
-        grid = fields.FieldGrid(x, y, psi, np.zeros(psi.shape, dtype=bool))
-        cur = fields.current_density(grid, k=1.0)
-        target = 2.0 / (2.0 * math.pi) ** 2
-        assert np.nanmax(np.abs(cur.jx - target)) / target < 1e-4
-        assert np.nanmax(np.abs(cur.jy)) < 1e-15
+    DEFAULT = GridSpec(-2.0, 2.0, 201, -2.0, 2.0, 201)
 
-    def test_coarse_grid_warns(self):
-        spec = GridSpec(-1.0, 1.0, 11, -1.0, 1.0, 11)
-        grid = fields.psi0_field(FamilyParams(1.0, 1.0), 1.0, spec)
-        with pytest.warns(GridCoarseWarning):
-            fields.current_density(grid, k=1.0)
+    @pytest.mark.parametrize("k, theta0, zv", [(1.0, math.pi, 1.0), (1.7, 2.5, 2.0 - 1.0j),
+                                               (0.6, 4.0, 0.5j)])
+    def test_matches_hankel1_reference(self, k, theta0, zv):
+        # every unmasked node, the rim and the origin's neighbours included
+        w, z = amp.IncidentWave(k, theta0), Coupling.finite(zv)
+        grid = fields.total_field(w, z, self.DEFAULT)
+        jx, jy = _reference_current(w, z, grid)
+        ok = ~grid.excluded_mask
+        assert ok.sum() == 201 * 201 - 1
+        err = np.hypot(grid.jx - jx, grid.jy - jy)[ok] / np.hypot(jx, jy)[ok]
+        assert err.max() <= 1e-12
+
+    def test_only_the_masked_origin_is_nan(self):
+        grid = fields.total_field(W, Z1, self.DEFAULT)
+        for j in (grid.jx, grid.jy):
+            assert np.array_equal(np.isnan(j), grid.excluded_mask)
+        assert grid.excluded_mask.sum() == 1 and grid.excluded_mask[100, 100]
+
+    def test_plane_wave_current(self):
+        # weak coupling: J -> 2 k_inc / (2 pi)^2 on every node, the rim included
+        grid = fields.total_field(W, Coupling.finite(1e-12), GridSpec(0.5, 2.0, 11, 0.5, 2.0, 11))
+        target = 2.0 / (2.0 * math.pi) ** 2
+        assert np.max(np.abs(grid.jx + W.varpi0 * target)) < 1e-13
+        assert np.max(np.abs(grid.jy - W.p0 * target)) < 1e-13
+
+    @pytest.mark.parametrize("zv", [1.0, -3.0, 2.0 - 1.0j, 0.5j])
+    @pytest.mark.parametrize("half_width", [0.37, 1.0, 2.0])
+    def test_net_rim_flux_is_the_absorption(self, zv, half_width):
+        # the flux through any loop around the scatterer is -(4/pi) Im(1/z) |f|^2:
+        # zero for real z
+        f = transfer._closed_form_amplitude(zv)
+        expected = -(4.0 / math.pi) * (1.0 / zv).imag * abs(f) ** 2
+        a = half_width
+        grid = fields.total_field(W, Coupling.finite(zv), GridSpec(-a, a, 201, -a, a, 201))
+        net, total = _rim_flux(grid)
+        assert abs(net - expected) <= 1e-9 * total
 
     def test_divergence_free_away_from_origin(self):
         spec = GridSpec(0.8, 2.2, 71, 0.8, 2.2, 71)
-        cur = fields.current_density(fields.total_field(W, Z1, spec), k=W.k)
-        div, valid = fields.current_divergence(cur)
-        scale = W.k * max(np.nanmax(np.abs(cur.jx)), np.nanmax(np.abs(cur.jy)))
+        grid = fields.total_field(W, Z1, spec)
+        div, valid = fields.current_divergence(grid)
+        scale = W.k * max(np.nanmax(np.abs(grid.jx)), np.nanmax(np.abs(grid.jy)))
         assert np.nanmax(np.abs(div[valid])) / scale < 1e-3
-
-    def test_rim_is_invalid(self):
-        spec = GridSpec(-0.2, 0.2, 21, -0.2, 0.2, 21)
-        grid = fields.psi0_field(FamilyParams(1.0, 1.0), 1.0, spec)
-        cur = fields.current_density(grid, k=1.0)
-        assert not cur.valid_mask[0, :].any()
-        assert np.isnan(cur.jx[0, 0])

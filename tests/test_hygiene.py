@@ -38,10 +38,10 @@ def test_no_unused_imports(path):
 
 
 # Public functions and classes that only tests call, each kept for open work:
-# the mu map of the standard route, the auxiliary entries and band projection
-# of the projection-sandwich identity, the contact-matching regulator, and the
-# near-field constant 2 pi / z + gamma that defines the scattering length.
-RESERVED_FOR_TESTS = {"renormalize_bare", "auxiliary_entries", "project_band",
+# the auxiliary entries and band projection of the projection-sandwich
+# identity, the contact-matching regulator, and the near-field constant
+# 2 pi / z + gamma that defines the scattering length.
+RESERVED_FOR_TESTS = {"auxiliary_entries", "project_band",
                       "regularized_h0_position_scheme", "near_field_expansion_check"}
 
 

@@ -1,3 +1,4 @@
+import decimal
 import math
 import sys
 
@@ -133,6 +134,17 @@ class TestGreenCutoffZero:
             g = kernel.green_cutoff_zero(lam, D1)
             assert g.real == pytest.approx(-math.log(lam) / (2.0 * math.pi), rel=1e-15)
             assert g.imag == -0.25
+
+    @pytest.mark.parametrize("lam", [1.00000001, 1.0001, 1.5, 100.0])
+    def test_matches_exact_reference(self, lam):
+        # the squared form ln(lam^2 - 1) cancels near lam/k = 1: 2.8e-10 off at 1.00000001
+        with decimal.localcontext() as ctx:
+            ctx.prec = 50
+            x = decimal.Decimal(lam)  # the float's exact value
+            log_term = float((x * x - 1).ln())
+        expected = -log_term / (4.0 * math.pi)
+        g = kernel.green_cutoff_zero(lam, D1)
+        assert abs(g.real - expected) <= 1e-15 * abs(expected)
 
     def test_ratio_that_overflows_rejected(self):
         with pytest.raises(ValidationError,

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from scipy import special
 
 from pointscatter import specfun, verify
 from pointscatter.errors import ConvergenceError, DomainError
@@ -284,7 +285,15 @@ class TestArrayVariants:
         for i, x in enumerate(ORACLE_GRID):
             assert h_arr[i] == specfun.hankel1_0(x)
 
+    def test_first_order_matches_scipy_hankel1(self):
+        # J1 + i Y1 and scipy's hankel1(1, x) come from different libraries:
+        # they agree to 1e-16 near the origin and 2e-14 at x = 1000
+        x = np.array(ORACLE_GRID)
+        h1 = specfun.hankel1_1_array(x)
+        assert np.max(np.abs(h1 - special.hankel1(1, x)) / np.abs(h1)) <= 1e-13
+
     def test_domain_errors(self):
-        for bad in ([1.0, -2.0], [1.0, 0.0], [np.nan]):
-            with pytest.raises(DomainError):
-                specfun.hankel1_0_array(np.array(bad))
+        for array_fn in (specfun.hankel1_0_array, specfun.hankel1_1_array):
+            for bad in ([1.0, -2.0], [1.0, 0.0], [np.nan]):
+                with pytest.raises(DomainError):
+                    array_fn(np.array(bad))

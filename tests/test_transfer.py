@@ -155,12 +155,20 @@ class TestScatteringAmplitudes:
 
 class TestRenormalizationFlow:
     def test_lambda_equal_mu_is_identity(self):
-        assert transfer.renormalize_bare(0.7 + 0.2j, 5.0, 5.0) == 0.7 + 0.2j
+        assert transfer.flow_bare_coupling(0.7 + 0.2j, 5.0, 5.0) == 0.7 + 0.2j
 
     @pytest.mark.parametrize("lam", [2.0, 10.0, 100.0])
     def test_flow_round_trip(self, lam):
+        # run up to the cutoff and back down: the map with its scales swapped
         z_bare = transfer.flow_bare_coupling(1.0, lam, 1.0)
-        assert abs(transfer.renormalize_bare(z_bare, lam, 1.0) - 1.0) < 1e-14
+        assert abs(transfer.flow_bare_coupling(z_bare, 1.0, lam) - 1.0) < 1e-14
+
+    @pytest.mark.parametrize("lam, mu", [(10.0, 1.0), (1.0, 10.0)])
+    def test_flow_pole(self, lam, mu):
+        # 1/z equal to ln(lam/mu)/(2 pi): the coupling at lam diverges
+        z = 1.0 / (math.log(lam / mu) / (2.0 * math.pi))
+        with pytest.raises(PoleError, match="flow pole"):
+            transfer.flow_bare_coupling(z, lam, mu)
 
     def test_bare_coupling_asymptotics(self):
         # z_bare -> -2 pi / ln(lam/mu) from below as the cutoff grows
@@ -199,6 +207,6 @@ class TestRenormalizationFlow:
 
     def test_zero_bare_coupling_rejected(self):
         with pytest.raises(ValidationError):
-            transfer.renormalize_bare(0.0, 2.0, 1.0)
+            transfer.flow_bare_coupling(0.0, 2.0, 1.0)
         with pytest.raises(ValidationError):
             transfer.bare_amplitude_with_cutoff(W, 0.0, 2.0)

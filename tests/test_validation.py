@@ -54,8 +54,6 @@ ARGUMENTS = [
     ("IncidentWave.k", lambda v: amp.IncidentWave(v, math.pi), NOT_POSITIVE),
     ("IncidentWave.theta0", lambda v: amp.IncidentWave(1.0, v), NOT_POSITIVE),
     ("Coupling.renormalized.mu", lambda v: Coupling.renormalized(1.0, v), NOT_POSITIVE),
-    ("renormalize_bare.lam", lambda v: transfer.renormalize_bare(1.0, v, 1.0), NOT_POSITIVE),
-    ("renormalize_bare.mu", lambda v: transfer.renormalize_bare(1.0, 1.0, v), NOT_POSITIVE),
     ("flow_bare_coupling.lam",
      lambda v: transfer.flow_bare_coupling(1.0, v, 1.0), NOT_POSITIVE),
     ("flow_bare_coupling.mu",
@@ -81,8 +79,7 @@ COMPLEX_ARGUMENTS = [
     ("Coupling.renormalized.z", lambda v: Coupling.renormalized(v, 1.0)),
     ("FamilyParams.b_plus", lambda v: FamilyParams(v, 0j)),
     ("FamilyParams.b_minus", lambda v: FamilyParams(0j, v)),
-    ("renormalize_bare.z_bare", lambda v: transfer.renormalize_bare(v, 1.0, 1.0)),
-    ("flow_bare_coupling.z_tilde", lambda v: transfer.flow_bare_coupling(v, 1.0, 1.0)),
+    ("flow_bare_coupling.z", lambda v: transfer.flow_bare_coupling(v, 1.0, 1.0)),
     ("bare_amplitude_with_cutoff.z_bare",
      lambda v: transfer.bare_amplitude_with_cutoff(W, v, 10.0)),
     ("renormalized_b.params_sum", lambda v: singfree.renormalized_b(v, 10.0, D1)),
@@ -120,8 +117,8 @@ def test_numpy_complex_and_int_accepted():
         assert type(z) is complex and z == 2.0
     params = FamilyParams(np.complex128(1j), 3)
     assert (params.b_plus, params.b_minus) == (1j, 3.0)
-    assert transfer.renormalize_bare(np.complex128(2.0), 10.0, 1.0) == \
-        transfer.renormalize_bare(2, 10.0, 1.0) == transfer.renormalize_bare(2.0, 10.0, 1.0)
+    assert transfer.flow_bare_coupling(np.complex128(2.0), 1.0, 10.0) == \
+        transfer.flow_bare_coupling(2, 1.0, 10.0) == transfer.flow_bare_coupling(2.0, 1.0, 10.0)
     assert transfer.flow_bare_coupling(np.complex128(1.0), 100.0, 1.0) == \
         transfer.flow_bare_coupling(1, 100.0, 1.0) == transfer.flow_bare_coupling(1.0, 100.0, 1.0)
     assert transfer.bare_amplitude_with_cutoff(W, 2, 10.0) == \
