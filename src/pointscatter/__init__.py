@@ -35,7 +35,6 @@ from .fields import (
     FieldGrid,
     GridSpec,
     current_divergence,
-    far_field_circle_residuals,
     field_values_at,
     near_field_expansion_check,
     near_field_log_slope,

@@ -598,7 +598,8 @@ def _run_verify(args) -> int:
             "injected_fault": bool(args.inject_fault),
             "all_passed": all_passed,
             "checks": [{"name": r.name, "tolerance": _json_float(r.tolerance),
-                        "measured": _json_float(r.measured), "passed": r.passed}
+                        "measured": _json_float(r.measured), "passed": r.passed,
+                        **({} if r.error is None else {"error": r.error})}
                        for r in results],
         })
     else:

@@ -170,6 +170,8 @@ def _transverse_points(w: IncidentWave, radii):
     # direction orthogonal to the incident wave vector: the plane-wave phase
     # vanishes there, so the log expansion is probed without its O(kr) term
     radii = np.asarray(list(radii), dtype=float)
+    if not np.all((radii > 0) & (w.k * radii <= 0.05)):  # a NaN radius fails too
+        raise ValidationError("near-field radii must satisfy 0 < k r <= 0.05")
     ux, uy = w.p0 / w.k, w.varpi0 / w.k
     return radii * ux, radii * uy, radii
 
@@ -185,8 +187,6 @@ def near_field_expansion_check(w: IncidentWave, z: Coupling, r_points) -> NearFi
     budget.
     """
     xs, ys, radii = _transverse_points(w, r_points)
-    if np.any(radii <= 0) or np.any(w.k * radii > 0.05):
-        raise ValidationError("near-field radii must satisfy 0 < k r <= 0.05")
     sol = solve_fundamental(w, z)
     psi = field_values_at(w, sol.c_prime, xs, ys)
     den = _amplitude_pole_denominator(z.value)
@@ -203,8 +203,6 @@ def near_field_log_slope(w: IncidentWave, z: Coupling, r_points) -> complex:
     Matches 1 / (4 pi^2 (z^{-1} + i/4)) as k r -> 0.
     """
     xs, ys, radii = _transverse_points(w, r_points)
-    if np.any(radii <= 0) or np.any(w.k * radii > 0.05):
-        raise ValidationError("near-field radii must satisfy 0 < k r <= 0.05")
     sol = solve_fundamental(w, z)
     psi = field_values_at(w, sol.c_prime, xs, ys)
     coeffs = np.polyfit(np.log(w.k * radii), psi, 1)
@@ -244,18 +242,3 @@ def far_field_samples(w: IncidentWave, z: Coupling, kr_values,
         out.append(FarFieldSamples(kr, thetas, psi, asym, np.hypot(diff.real, diff.imag),
                                    abs(f) / (TWO_PI * math.sqrt(kr))))
     return out
-
-
-class FarFieldResidual(NamedTuple):
-    kr: float
-    max_absolute: float
-    relative: float
-
-
-def far_field_circle_residuals(w: IncidentWave, z: Coupling, kr_values,
-                               n_theta: int = 240):
-    """Largest far-field residual per circle, absolute and relative to the
-    scattered-wave amplitude; the relative one decays like 1/(k r)."""
-    return [FarFieldResidual(s.kr, float(s.residual.max()),
-                             float(s.residual.max()) / s.scale)
-            for s in far_field_samples(w, z, kr_values, n_theta)]

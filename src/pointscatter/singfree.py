@@ -179,13 +179,3 @@ def regularized_h0_position_scheme(lam: float, d: Dispersion) -> complex:
     """
     lam = require_cutoff_above_k(lam, d.k)
     return hankel1_0(d.k / lam)
-
-
-def family_c_matches_fundamental(w: IncidentWave, z: Coupling, lam: float) -> float:
-    """|c(absorption params) - c'| -- the family constant against the
-    fundamental-route constant; zero up to rounding at every cutoff."""
-    d = w.dispersion()
-    b_sum = absorption_condition(z, lam, d)
-    _, c = family_solution(w, z, FamilyParams(b_sum, 0j), lam)
-    c_prime = -0.5j / _amplitude_pole_denominator(z.value)
-    return abs(c - c_prime)

@@ -6,9 +6,13 @@ the tool reports.  Run with ``pytest -s tests/test_acceptance.py`` to see the
 per-criterion lines; ``pointscatter verify`` prints the same information.
 """
 
+import math
+
 import pytest
 
-from pointscatter import cli, kernel, verify
+from pointscatter import cli, kernel, transfer, verify
+from pointscatter.amplitudes import IncidentWave
+from pointscatter.transfer import Coupling
 
 CRITERIA = {
     1: ("route agreement dfss == renormalized", ["1-route-agreement"]),
@@ -75,3 +79,28 @@ def test_run_all_order_and_shared_quadratures(monkeypatch):
     assert names == [name for _, (_, group) in sorted(CRITERIA.items()) for name in group]
     assert len(names) == 19
     assert len(calls) == 3
+
+
+def test_residuals_must_shrink_strictly(monkeypatch):
+    # check 6 passes only if |f_bare - f_ren| falls strictly with the cutoff;
+    # a flat sequence within the tolerance fails, naming the residuals
+    w = IncidentWave(1.0, math.pi)
+    f_ren = transfer.scattering_amplitude_renormalized(w, Coupling.renormalized(1.0, 1.0))
+    monkeypatch.setattr(transfer, "bare_amplitude_with_cutoff", lambda *args: f_ren + 0.01)
+    results = {r.name: r for r in verify.run_all()}
+    flow = results["6-renormalization-flow-collapse"]
+    assert not flow.passed and math.isnan(flow.measured)
+    assert flow.error == ("ConvergenceError: residuals 1.000e-02, 1.000e-02, 1.000e-02 "
+                          "do not shrink strictly")
+    assert all(r.passed for name, r in results.items() if name != flow.name)
+
+
+def test_nan_residual_fails(monkeypatch):
+    # a NaN amplitude for one of check 8's four couplings is its worst residual
+    amplitude = transfer.scattering_amplitude_dfss
+    monkeypatch.setattr(transfer, "scattering_amplitude_dfss",
+                        lambda w, z: complex(math.nan, math.nan) if z.value == 10.0
+                        else amplitude(w, z))
+    unitarity = next(r for r in verify.run_all() if r.name == "8-unitarity-circle")
+    assert not unitarity.passed and math.isnan(unitarity.measured)
+    assert unitarity.error is None

@@ -19,6 +19,7 @@ from scipy.special import hankel1
 from pointscatter import cli, fields, kernel, transfer, verify
 from pointscatter._lazy import load_on_first_use
 from pointscatter.amplitudes import IncidentWave
+from pointscatter.errors import PointScatterError
 from pointscatter.singfree import FamilyParams
 from pointscatter.transfer import Coupling
 
@@ -512,6 +513,32 @@ class TestVerifyCommand:
         assert code == 2
         assert "[FAIL] 2a-closed-form-solve" in out
         assert "NUMERICAL INVARIANT FAILURE" in out
+
+    def test_raising_check_is_a_named_fail(self, monkeypatch, capsys):
+        # a measure that raises fails its own checks; the others still run
+        def broken(*args, **kwargs):
+            raise PointScatterError("solve broken\non purpose")
+
+        monkeypatch.setattr(transfer, "solve_fundamental", broken)
+        code, out, err = run(["verify"], capsys)
+        assert (code, err) == (2, "")
+        *lines, verdict = out.splitlines()
+        assert len(lines) == 19 and verdict == "verify: NUMERICAL INVARIANT FAILURE"
+        failed = [ln for ln in lines if ln.startswith("[FAIL]")]
+        assert "[FAIL] 2a-closed-form-solve: measured=nan tolerance=1.0e-12 error=" in out
+        assert all(ln.endswith(" error=PointScatterError: solve broken on purpose")
+                   for ln in failed)
+        assert all("error=" not in ln for ln in lines if ln.startswith("[PASS]"))
+        assert len(failed) < len(lines)
+        code, out, _ = run(["verify", "--json"], capsys)
+        checks = json.loads(out)["checks"]
+        assert code == 2 and len(checks) == 19
+        for c in checks:
+            if c["passed"]:
+                assert "error" not in c
+            else:
+                assert math.isnan(c["measured"])
+                assert c["error"] == "PointScatterError: solve broken on purpose"
 
     @pytest.mark.parametrize("value", ["abc", "-1", "1.5", ""])
     def test_malformed_seed_is_one_error_line(self, value, monkeypatch, capsys):

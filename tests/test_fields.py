@@ -91,20 +91,20 @@ class TestTotalField:
 
 class TestFarField:
     def test_two_percent_at_kr_fifty(self):
-        res = fields.far_field_circle_residuals(W, Z1, [50.0])[0]
-        assert res.relative < 0.02
+        s = fields.far_field_samples(W, Z1, [50.0])[0]
+        assert s.residual.max() / s.scale < 0.02
 
     def test_inverse_kr_decay_within_factor_two(self):
-        res = fields.far_field_circle_residuals(W, Z1, [20.0, 50.0, 100.0])
+        res = fields.far_field_samples(W, Z1, [20.0, 50.0, 100.0])
         for a, b in zip(res, res[1:]):
-            actual = a.relative / b.relative
+            actual = (a.residual.max() / a.scale) / (b.residual.max() / b.scale)
             predicted = b.kr / a.kr
             assert 0.5 <= actual / predicted <= 2.0
 
     def test_absolute_residual_decay_within_factor_two(self):
-        res = fields.far_field_circle_residuals(W, Z1, [20.0, 50.0, 100.0])
+        res = fields.far_field_samples(W, Z1, [20.0, 50.0, 100.0])
         for a, b in zip(res, res[1:]):
-            actual = a.max_absolute / b.max_absolute
+            actual = a.residual.max() / b.residual.max()
             predicted = b.kr / a.kr
             assert 0.5 <= actual / predicted <= 2.0
 
@@ -128,8 +128,10 @@ class TestNearField:
         assert abs(slope - closed) / abs(closed) < 0.01
 
     def test_radius_precondition(self):
-        with pytest.raises(ValidationError):
-            fields.near_field_expansion_check(W, Z1, [0.2])
+        for near_field in (fields.near_field_expansion_check, fields.near_field_log_slope):
+            for radii in ([0.2], [0.0], [0.01, math.nan]):
+                with pytest.raises(ValidationError, match="0 < k r <= 0.05"):
+                    near_field(W, Z1, radii)
 
 
 class TestPsi0:

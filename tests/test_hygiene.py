@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import pointscatter
+from pointscatter import verify
 
 MODULES = sorted(p for p in Path(pointscatter.__file__).parent.glob("*.py")
                  if p.name != "__init__.py")  # __init__ imports to re-export
@@ -136,3 +137,27 @@ def test_external_overrides_found():
 def test_only_reserved_members_go_uncalled():
     sources = [path.read_text() for path in MODULES]
     assert uncalled_members(sources, external_overrides()) == RESERVED_MEMBERS
+
+
+def constructors(source: str, name: str) -> set[str]:
+    """Module-level functions whose bodies call ``name``, plus "<module>" for
+    a call outside any function."""
+    found = set()
+    for node in ast.parse(source).body:
+        calls = any(isinstance(sub, ast.Call) and isinstance(sub.func, ast.Name)
+                    and sub.func.id == name for sub in ast.walk(node))
+        if calls:
+            found.add(node.name if isinstance(node, ast.FunctionDef) else "<module>")
+    return found
+
+
+def test_detects_a_constructor():
+    source = "R(1)\n\ndef f():\n    return [R(2)]\n\ndef g():\n    return R\n"
+    assert constructors(source, "R") == {"<module>", "f"}
+
+
+def test_verify_checks_form_one_table():
+    # only run_all builds a CheckResult, and each check name is one table entry
+    assert constructors(Path(verify.__file__).read_text(), "CheckResult") == {"run_all"}
+    names = [name for entries, _ in verify._CHECKS for name, _ in entries]
+    assert len(names) == len(set(names))

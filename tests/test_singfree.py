@@ -79,7 +79,9 @@ class TestAbsorption:
 
     @pytest.mark.parametrize("lam", [2.0, 10.0, 100.0])
     def test_constant_matches_fundamental(self, lam):
-        assert singfree.family_c_matches_fundamental(W, Z1, lam) < 1e-12
+        params = FamilyParams(singfree.absorption_condition(Z1, lam, D1), 0j)
+        _, c = singfree.family_solution(W, Z1, params, lam)
+        assert abs(c - transfer.solve_fundamental(W, Z1).c_prime) < 1e-12
 
     def test_amplitude_depends_on_sum_only(self):
         for b in (0.7 + 0.3j, -2.0j, 5.0):
