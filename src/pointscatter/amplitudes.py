@@ -77,21 +77,57 @@ class GeneralizedAmplitude:
     support: str = FULL_LINE
 
     def __post_init__(self):
-        if self.support not in (FULL_LINE, BAND):
-            raise ValidationError(f"unknown support {self.support!r}")
-        merged: dict[float, Atom] = {}
-        for atom in self.atoms:
-            if not isinstance(atom, Atom):
-                atom = Atom(*atom)
-            if atom.location in merged:  # the sum is checked: it may overflow
-                atom = Atom(atom.location, merged[atom.location].weight + atom.weight)
-            merged[atom.location] = atom
-        object.__setattr__(self, "atoms", tuple(merged[loc] for loc in sorted(merged)))
+        _check_support(self.support)
+        object.__setattr__(self, "atoms", _merged(self.atoms))
         object.__setattr__(self, "background", finite_complex("background", self.background))
 
 
+# The algebra's own results are built from parts that are valid already, so
+# they skip the dataclass checks: the unvalidated constructors below check
+# only the numbers an operation computes.  Nothing outside this module's
+# operations calls them, so every outside input passes the checks above.
+
+def _new_atom(location: float, weight: complex) -> Atom:
+    """An Atom at a valid location with a weight the caller computed: the
+    weight's finiteness and signed zeros as ``Atom`` treats them."""
+    atom = object.__new__(Atom)
+    object.__setattr__(atom, "location", location)
+    object.__setattr__(atom, "weight", 0j + finite_complex("atom weight", weight))
+    return atom
+
+
+def _new_amplitude(atoms: tuple, background: complex, support: str) -> GeneralizedAmplitude:
+    """A GeneralizedAmplitude from merged, sorted Atoms, a finite background
+    and a valid support."""
+    a = object.__new__(GeneralizedAmplitude)
+    object.__setattr__(a, "atoms", atoms)
+    object.__setattr__(a, "background", background)
+    object.__setattr__(a, "support", support)
+    return a
+
+
+def _check_support(support: str):
+    if support not in (FULL_LINE, BAND):
+        raise ValidationError(f"unknown support {support!r}")
+
+
+def _merged(atoms) -> tuple:
+    """Atoms (or (location, weight) pairs, checked as Atoms) sorted by
+    location, coincident ones merged into one whose weight is the (checked:
+    it may overflow) sum."""
+    merged: dict[float, Atom] = {}
+    for atom in atoms:
+        if not isinstance(atom, Atom):
+            atom = Atom(*atom)
+        if atom.location in merged:
+            atom = _new_atom(atom.location, merged[atom.location].weight + atom.weight)
+        merged[atom.location] = atom
+    return tuple(merged[loc] for loc in sorted(merged))
+
+
 def zero_amplitude(support: str = FULL_LINE) -> GeneralizedAmplitude:
-    return GeneralizedAmplitude((), 0j, support)
+    _check_support(support)
+    return _new_amplitude((), 0j, support)
 
 
 def add(a: GeneralizedAmplitude, b: GeneralizedAmplitude) -> GeneralizedAmplitude:
@@ -99,16 +135,26 @@ def add(a: GeneralizedAmplitude, b: GeneralizedAmplitude) -> GeneralizedAmplitud
     if a.support != b.support:
         raise SupportMismatchError(
             f"cannot add amplitudes with supports {a.support!r} and {b.support!r}")
-    return GeneralizedAmplitude(a.atoms + b.atoms, a.background + b.background, a.support)
+    # one side's atoms alone are merged and sorted already
+    atoms = _merged(a.atoms + b.atoms) if a.atoms and b.atoms else a.atoms or b.atoms
+    return _new_amplitude(atoms, finite_complex("background", a.background + b.background),
+                          a.support)
+
+
+def add_constant(a: GeneralizedAmplitude, c: complex) -> GeneralizedAmplitude:
+    """a plus the constant c on a's support: ``add`` with an atom-free
+    amplitude of background c."""
+    c = finite_complex("background", c)
+    return _new_amplitude(a.atoms, finite_complex("background", a.background + c), a.support)
 
 
 def scale(a: GeneralizedAmplitude, factor: complex) -> GeneralizedAmplitude:
     factor = complex(factor)
     if factor == 0:
         return zero_amplitude(a.support)
-    return GeneralizedAmplitude(
-        tuple(Atom(at.location, factor * at.weight) for at in a.atoms),
-        factor * a.background, a.support)
+    return _new_amplitude(
+        tuple(_new_atom(at.location, factor * at.weight) for at in a.atoms),
+        finite_complex("background", factor * a.background), a.support)
 
 
 def project_band(a: GeneralizedAmplitude, d: Dispersion) -> GeneralizedAmplitude:
@@ -196,5 +242,7 @@ class IncidentWave:
 
     def delta_source(self, support: str = BAND) -> GeneralizedAmplitude:
         """The source coefficient function 2 pi varpi(p0) delta(p - p0)."""
-        return GeneralizedAmplitude(
-            (Atom(self.p0, complex(2.0 * math.pi * self.varpi0)),), 0j, support)
+        atom = _new_atom(finite_real("atom location", self.p0),
+                         complex(2.0 * math.pi * self.varpi0))
+        _check_support(support)
+        return _new_amplitude((atom,), 0j, support)

@@ -3,11 +3,11 @@
 The total field is the incident plane wave plus c'/(4 pi) times the outgoing
 Hankel function; it genuinely diverges at the scatterer, so grid points with
 k r below the exclusion threshold are masked (NaN values behind a boolean
-mask), never evaluated.  The probability current J = 2 Im(psi* grad psi)
-comes with the field, from its closed-form gradient: the plane wave's
-i k_inc psi_inc and the scattered wave's -(c' k/(4 pi)) H1(k r) r/|r|.  It is
-exact to rounding on every unmasked node, the rim and the scatterer's
-neighbours included, at any grid spacing.
+mask), never evaluated at their own k r.  The probability current
+J = 2 Im(psi* grad psi) comes with the field, from its closed-form gradient:
+the plane wave's i k_inc psi_inc and the scattered wave's
+-(c' k/(4 pi)) H1(k r) r/|r|.  It is exact to rounding on every unmasked
+node, the rim and the scatterer's neighbours included, at any grid spacing.
 """
 
 from __future__ import annotations
@@ -117,19 +117,19 @@ def total_field(w: IncidentWave, z: Coupling, spec: GridSpec) -> FieldGrid:
     r = np.hypot(X, Y)
     kr = w.k * r
     mask = kr < ORIGIN_EXCLUSION_KR
-    keep = ~mask
+    # a stand-in k r = 1 at masked nodes keeps H0 and H1 finite; they become NaN below
+    r = np.where(mask, 1.0 / w.k, r)
+    kr = np.where(mask, 1.0, kr)
     incident = _incident_values(w, X, Y)
-    values = incident.copy()
-    values[keep] += a * hankel1_0_array(kr[keep])
-    values[mask] = complex(math.nan, math.nan)
+    values = incident + a * hankel1_0_array(kr)
     # Re(psi* psi_inc) and Im(psi* s) in real arithmetic: no full-grid complex temporary
     overlap = 2.0 * (values.real * incident.real + values.imag * incident.imag)
-    jx, jy = -w.varpi0 * overlap, w.p0 * overlap
-    s = (-a * w.k) * hankel1_1_array(kr[keep]) / r[keep]
-    v = values[keep]
-    radial = 2.0 * (v.real * s.imag - v.imag * s.real)
-    jx[keep] += X[keep] * radial
-    jy[keep] += Y[keep] * radial
+    s = (-a * w.k) * hankel1_1_array(kr) / r
+    radial = 2.0 * (values.real * s.imag - values.imag * s.real)
+    jx = -w.varpi0 * overlap + X * radial
+    jy = w.p0 * overlap + Y * radial
+    values[mask] = complex(math.nan, math.nan)
+    jx[mask] = jy[mask] = math.nan
     return FieldGrid(x, y, values, jx, jy, mask)
 
 

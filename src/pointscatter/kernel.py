@@ -162,18 +162,25 @@ def green_cutoff_quadrature(r: float, lam: float, d: Dispersion) -> QuadratureVa
     lam = require_cutoff_above_k(lam, k)
     limit = max(400, int(60 + 2.0 * lam * r))
 
-    def g(p):
-        # residue-carrying factor: integrand = g(p)/(k - p)
-        return p * bessel_j0(p * r) / (TWO_PI * (p + k))
+    if r == 0.0:  # J0(0) = 1 exactly: no call, and the weight p J0(p r) is p
+        def g(p):
+            return p / (TWO_PI * (p + k))
 
-    def h(p):
-        return p * bessel_j0(p * r) / (TWO_PI * (k - p) * (k + p))
+        def h(p):
+            return p / (TWO_PI * (k - p) * (k + p))
+    else:
+        def g(p):
+            # residue-carrying factor: integrand = g(p)/(k - p)
+            return p * bessel_j0(p * r) / (TWO_PI * (p + k))
+
+        def h(p):
+            return p * bessel_j0(p * r) / (TWO_PI * (k - p) * (k + p))
 
     w = min(k / 10.0, (lam - k) / 10.0)
     left, e1 = _quad(h, 0.0, k - w, limit=limit)
     window, e2 = _pv_across_pole(g, k, w, limit=limit)
     right, e3 = _quad(h, k + w, lam, limit=limit)
-    value = complex(left + window + right, -0.25 * bessel_j0(k * r))
+    value = complex(left + window + right, -0.25 * (1.0 if r == 0.0 else bessel_j0(k * r)))
     return QuadratureValue(value, e1 + e2 + e3)
 
 

@@ -28,7 +28,7 @@ EULER_GAMMA = 0.5772156649015329
 
 def _as_checked_float(x, allow_zero):
     # errors.finite_real's type rule (an int or float, not a bool), inline:
-    # the cutoff-Green quadrature calls bessel_j0 about 1 200 times per verify
+    # green_cutoff_quadrature at r > 0 calls bessel_j0 at every quadrature node
     if type(x) is not float:
         if not isinstance(x, (int, float)) or isinstance(x, bool):
             raise DomainError(f"expected an int or float argument, got {x!r}")

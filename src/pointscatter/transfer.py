@@ -27,6 +27,7 @@ from .amplitudes import (
     IncidentWave,
     IntegrationDomain,
     add,
+    add_constant,
     cutoff_line,
     integrate_inverse_varpi,
     scale,
@@ -109,8 +110,7 @@ class TransferEntry:
 
     def apply(self, phi: GeneralizedAmplitude, d: Dispersion) -> GeneralizedAmplitude:
         smeared = self.rank_one_coefficient * integrate_inverse_varpi(phi, self.domain, d)
-        base = scale(phi, self.identity_coefficient)
-        return add(base, GeneralizedAmplitude((), smeared, phi.support))
+        return add_constant(scale(phi, self.identity_coefficient), smeared)
 
 
 def _magnitude(a: GeneralizedAmplitude) -> float:
@@ -179,7 +179,7 @@ def solve_fundamental(w: IncidentWave, z: Coupling) -> FundamentalSolution:
     c_prime = -0.5j / den
 
     source = w.delta_source(BAND)
-    b_minus = add(source, GeneralizedAmplitude((), c_prime, BAND))
+    b_minus = add_constant(source, c_prime)
     m12, m22 = fundamental_entries(z, d)
     a_plus = m12.apply(b_minus, d)
 

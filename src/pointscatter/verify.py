@@ -79,6 +79,50 @@ def resolve_seed(seed: int | None = None) -> int:
 # different algorithm and number system from the scipy routines behind specfun)
 
 _ORACLE_MAX_TERMS = 2000
+_LN2_60 = 693147180559945309417232121458176568075500134360255254120680  # ln 2 * 10^60
+_LN_BITS = 200  # fraction bits of the ln series, about 60 digits for 50 kept
+
+
+def _oracle_ln_half(x: float) -> Decimal:
+    """ln(x/2) for a float x > 0, correctly rounded to 50 digits: the value
+    ``(Decimal(x) / 2).ln(Context(prec=50))`` takes with x/2 exact.
+
+    x/2 = m 2^e with m in [1/sqrt 2, sqrt 2) comes from ``math.frexp``, exact
+    for subnormal x too.  ln m = 2 atanh(u), u = (m - 1)/(m + 1), |u| < 0.172,
+    sums in integer fixed point with ``_LN_BITS`` fraction bits, and e ln 2
+    comes from ``_LN2_60``.  Every step rounds down, so the sum is within
+    ``err`` units of its last bit; when both ends of that interval round to
+    the same 50 digits, the value between them does too.  Otherwise
+    ``Decimal.ln`` decides: for about one point in 1e10, and for x within
+    about 1e-8 of 2, where ln(x/2) is too close to 0 for 200 bits.
+    """
+    if x == 2.0:
+        return Decimal(0)  # ln 1, exactly
+    f, e = math.frexp(x)  # x/2 = f 2^(e - 1), f in [1/2, 1)
+    e -= 1
+    if f < math.sqrt(0.5):
+        f, e = 2.0 * f, e - 1
+    a, b = f.as_integer_ratio()
+    bits = _LN_BITS
+    term = (abs(a - b) << bits) // (a + b)
+    u2 = term * term >> bits
+    atanh, j = term, 1
+    while term:
+        term = term * u2 >> bits
+        j += 2
+        atanh += term // j
+    # each of the (j + 1)/2 terms is below its exact value by less than
+    # 2.3 units and the dropped tail is below 1.4; ln 2 * 2^bits is off by
+    # less than 2 + 2^bits / 10^60 units
+    ln_m = 2 * atanh if a > b else -2 * atanh
+    total = ln_m + e * ((_LN2_60 << bits) // 10 ** 60)
+    err = 4 * (j + 2) + abs(e) * (2 + (1 << bits) // 10 ** 60)
+    ctx = Context(prec=50)
+    lo, hi = (ctx.divide(Decimal(total + d), Decimal(1 << bits)) for d in (-err, err))
+    if lo == hi:
+        return lo
+    # a double has at most 767 significant digits, so x/2 is exact at 800
+    return ctx.ln(Context(prec=800).divide(Decimal(x), 2))
 
 
 def _oracle_prec(x: float) -> int:
@@ -140,7 +184,7 @@ def oracle_j0_y0(x: float) -> tuple[Decimal, Decimal]:
         ctx.prec = prec
         scale = Decimal(one)
         j0_dec, total_dec = Decimal(j0) / scale, Decimal(total) / scale
-        log_part = (Decimal(x) / 2).ln(Context(prec=50)) + _GAMMA_50
+        log_part = _oracle_ln_half(x) + _GAMMA_50
         return j0_dec, (2 / _PI_50) * (log_part * j0_dec + total_dec)
 
 

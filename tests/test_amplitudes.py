@@ -1,16 +1,18 @@
 import math
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 from scipy import integrate
 
 from pointscatter import amplitudes as amp
 from pointscatter.errors import (
     OnShellAtomError,
+    PointScatterError,
     SupportMismatchError,
     ValidationError,
 )
+from pointscatter.transfer import TransferEntry
 from pointscatter.kernel import Dispersion, varpi
 
 D1 = Dispersion(1.0)
@@ -88,6 +90,101 @@ class TestAdd:
     def test_support_mismatch(self):
         with pytest.raises(SupportMismatchError):
             amp.add(amp.zero_amplitude(amp.BAND), amp.zero_amplitude(amp.FULL_LINE))
+
+
+# The algebra's operations as written with the validating constructors alone:
+# the reference their unvalidated fast paths are held to, bit for bit.
+
+def validating_add(a, b):
+    return amp.GeneralizedAmplitude(a.atoms + b.atoms, a.background + b.background, a.support)
+
+
+def validating_scale(a, factor):
+    factor = complex(factor)
+    if factor == 0:
+        return amp.GeneralizedAmplitude((), 0j, a.support)
+    return amp.GeneralizedAmplitude(
+        tuple(amp.Atom(at.location, factor * at.weight) for at in a.atoms),
+        factor * a.background, a.support)
+
+
+def validating_apply(entry, phi, d):
+    smeared = entry.rank_one_coefficient * amp.integrate_inverse_varpi(phi, entry.domain, d)
+    base = validating_scale(phi, entry.identity_coefficient)
+    return validating_add(base, amp.GeneralizedAmplitude((), smeared, phi.support))
+
+
+def outcome(build):
+    """repr of the result, signed zeros included, or the error's type and message."""
+    try:
+        return repr(build())
+    except PointScatterError as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+signed_zeros = st.sampled_from([0j, complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0)])
+any_weights = signed_zeros | st.complex_numbers(max_magnitude=1e308, allow_nan=False,
+                                                allow_infinity=False)
+factors = signed_zeros | st.complex_numbers(max_magnitude=1e12, allow_nan=False,
+                                            allow_infinity=False)
+# on-shell, coincident and signed-zero locations among them
+locations = st.sampled_from([-2.0, -1.0, -0.5, -0.0, 0.0, 0.5, 1.0]) | st.floats(-3.0, 3.0)
+supports = st.sampled_from([amp.FULL_LINE, amp.BAND])
+
+
+def amplitudes_on(support):
+    atoms = st.lists(st.tuples(locations, any_weights), max_size=4, unique_by=lambda t: t[0])
+    return st.builds(lambda ats, bg: amp.GeneralizedAmplitude(tuple(ats), bg, support),
+                     atoms, any_weights)
+
+
+amplitude_pairs = supports.flatmap(lambda s: st.tuples(amplitudes_on(s), amplitudes_on(s)))
+
+
+class TestAlgebraMatchesValidatingPath:
+    @given(amplitude_pairs)
+    def test_add(self, pair):
+        a, b = pair
+        assert outcome(lambda: amp.add(a, b)) == outcome(lambda: validating_add(a, b))
+
+    @given(supports.flatmap(amplitudes_on), any_weights | st.complex_numbers())
+    @example(amp.GeneralizedAmplitude((), 1j, amp.BAND), complex(math.inf, 0.0))
+    def test_add_constant(self, a, c):  # the error names c itself when c is not finite
+        assert outcome(lambda: amp.add_constant(a, c)) == outcome(
+            lambda: validating_add(a, amp.GeneralizedAmplitude((), c, a.support)))
+
+    @given(supports.flatmap(amplitudes_on), factors)
+    def test_scale(self, a, factor):
+        assert outcome(lambda: amp.scale(a, factor)) == outcome(
+            lambda: validating_scale(a, factor))
+
+    @given(supports.flatmap(amplitudes_on), factors, factors,
+           st.sampled_from([amp.BAND_DOMAIN, amp.cutoff_line(10.0)]))
+    def test_transfer_entry_apply(self, phi, identity, rank_one, domain):
+        entry = TransferEntry(identity, rank_one, domain)
+        assert outcome(lambda: entry.apply(phi, D1)) == outcome(
+            lambda: validating_apply(entry, phi, D1))
+
+    @given(st.floats(0.1, 10.0), st.floats(0.5 * math.pi + 1e-3, 1.5 * math.pi - 1e-3),
+           supports)
+    def test_delta_source(self, k, theta0, support):
+        w = amp.IncidentWave(k, theta0)
+        atom = amp.Atom(w.p0, complex(2.0 * math.pi * w.varpi0))
+        assert repr(w.delta_source(support)) == repr(
+            amp.GeneralizedAmplitude((atom,), 0j, support))
+
+    def test_overflowing_scale_names_the_atom_weight(self):
+        a = amp.GeneralizedAmplitude(((0.5, 1e300),), 0j, amp.BAND)
+        with pytest.raises(ValidationError, match="atom weight"):
+            amp.scale(a, 1e10)
+
+    @pytest.mark.parametrize("build", [
+        lambda: amp.zero_amplitude("half-line"),
+        lambda: amp.IncidentWave(1.0, math.pi).delta_source("half-line"),
+    ], ids=["zero_amplitude", "delta_source"])
+    def test_unknown_support_rejected(self, build):
+        with pytest.raises(ValidationError, match="unknown support"):
+            build()
 
 
 class TestProjectBand:

@@ -7,7 +7,7 @@ from scipy.integrate import simpson
 from scipy.special import hankel1
 
 from pointscatter import amplitudes as amp
-from pointscatter import fields, transfer
+from pointscatter import fields, specfun, transfer
 from pointscatter.errors import ValidationError
 from pointscatter.fields import GridSpec
 from pointscatter.singfree import FamilyParams
@@ -69,6 +69,16 @@ class TestTotalField:
         assert grid.excluded_mask[2, 2]
         assert np.isnan(grid.values[2, 2].real)
         assert np.all(np.isfinite(grid.values[~grid.excluded_mask]))
+
+    @pytest.mark.parametrize("spec", [GridSpec(-1.0, 1.0, 41, -1.0, 1.0, 41),
+                                      GridSpec(0.8, 2.2, 71, 0.8, 2.2, 71)],
+                             ids=["centered", "offset"])
+    def test_values_are_field_values_at_bit_for_bit(self, spec):
+        grid = fields.total_field(W, Z1, spec)
+        ok = ~grid.excluded_mask
+        X, Y = np.meshgrid(grid.x, grid.y, indexing="ij")
+        c_prime = transfer.solve_fundamental(W, Z1).c_prime
+        assert np.array_equal(grid.values[ok], fields.field_values_at(W, c_prime, X[ok], Y[ok]))
 
     def test_points_api_rejects_origin(self):
         sol = transfer.solve_fundamental(W, Z1)
@@ -186,6 +196,26 @@ def _reference_current(w, z, grid):
     return jx, jy
 
 
+def _gathered_fill(w, z, spec):
+    """total_field's arithmetic on the unmasked nodes alone, gathered by the
+    keep mask, NaN elsewhere: the reference the full-array fill is held to."""
+    a = transfer.solve_fundamental(w, z).c_prime / (4.0 * math.pi)
+    X, Y = np.meshgrid(*spec.axes(), indexing="ij")
+    r = np.hypot(X, Y)
+    keep = ~(w.k * r < fields.ORIGIN_EXCLUSION_KR)
+    incident = np.exp(1j * (-w.varpi0 * X[keep] + w.p0 * Y[keep])) / (2.0 * math.pi)
+    v = incident + a * specfun.hankel1_0_array(w.k * r[keep])
+    s = (-a * w.k) * specfun.hankel1_1_array(w.k * r[keep]) / r[keep]
+    overlap = 2.0 * (v.real * incident.real + v.imag * incident.imag)
+    radial = 2.0 * (v.real * s.imag - v.imag * s.real)
+    values = np.full(X.shape, complex(math.nan, math.nan))
+    jx, jy = np.full(X.shape, math.nan), np.full(X.shape, math.nan)
+    values[keep] = v
+    jx[keep] = -w.varpi0 * overlap + X[keep] * radial
+    jy[keep] = w.p0 * overlap + Y[keep] * radial
+    return values, jx, jy
+
+
 def _rim_flux(grid):
     """Net outward flux of J through the window's rim, and the flux of |J.n|,
     by Simpson's rule along each edge."""
@@ -211,9 +241,20 @@ class TestCurrentDensity:
         err = np.hypot(grid.jx - jx, grid.jy - jy)[ok] / np.hypot(jx, jy)[ok]
         assert err.max() <= 1e-12
 
+    @pytest.mark.parametrize("k, theta0, zv, spec", [
+        (1.0, math.pi, 1.0, DEFAULT),
+        (1.7, 2.5, 2.0 - 1.0j, GridSpec(-1.0, 1.0, 41, -1.0, 1.0, 41)),
+        (0.6, 4.0, 0.5j, GridSpec(0.8, 2.2, 71, 0.8, 2.2, 71)),
+    ], ids=["default", "centered", "offset"])
+    def test_bit_identical_to_the_gathered_fill(self, k, theta0, zv, spec):
+        w, z = amp.IncidentWave(k, theta0), Coupling.finite(zv)
+        grid = fields.total_field(w, z, spec)
+        for got, want in zip((grid.values, grid.jx, grid.jy), _gathered_fill(w, z, spec)):
+            assert np.array_equal(got, want, equal_nan=True)
+
     def test_only_the_masked_origin_is_nan(self):
         grid = fields.total_field(W, Z1, self.DEFAULT)
-        for j in (grid.jx, grid.jy):
+        for j in (grid.values.real, grid.values.imag, grid.jx, grid.jy):
             assert np.array_equal(np.isnan(j), grid.excluded_mask)
         assert grid.excluded_mask.sum() == 1 and grid.excluded_mask[100, 100]
 

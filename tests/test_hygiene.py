@@ -1,6 +1,7 @@
 """Source hygiene that needs no linter: no module imports a name it never uses,
-and no public function, class, method or property goes uncalled by the
-library unless an open item reserves it."""
+no public function, class, method or property goes uncalled by the library
+unless an open item reserves it, and only the named functions construct
+``CheckResult``s or build atoms and amplitudes past their checks."""
 
 import ast
 import importlib
@@ -140,20 +141,29 @@ def test_only_reserved_members_go_uncalled():
 
 
 def constructors(source: str, name: str) -> set[str]:
-    """Module-level functions whose bodies call ``name``, plus "<module>" for
-    a call outside any function."""
+    """Module-level functions and methods ("Class.method") whose bodies call
+    ``name``, as ``name(...)`` or ``obj.name(...)``, plus "<module>" for a
+    call outside any function."""
+    def calls(node):
+        return any(isinstance(sub, ast.Call)
+                   and name in (getattr(sub.func, "id", None), getattr(sub.func, "attr", None))
+                   for sub in ast.walk(node))
+
     found = set()
     for node in ast.parse(source).body:
-        calls = any(isinstance(sub, ast.Call) and isinstance(sub.func, ast.Name)
-                    and sub.func.id == name for sub in ast.walk(node))
-        if calls:
+        if isinstance(node, ast.ClassDef):
+            found |= {f"{node.name}.{getattr(item, 'name', '<body>')}"
+                      for item in node.body if calls(item)}
+        elif calls(node):
             found.add(node.name if isinstance(node, ast.FunctionDef) else "<module>")
     return found
 
 
 def test_detects_a_constructor():
-    source = "R(1)\n\ndef f():\n    return [R(2)]\n\ndef g():\n    return R\n"
-    assert constructors(source, "R") == {"<module>", "f"}
+    source = ("R(1)\n\ndef f():\n    return [R(2)]\n\ndef g():\n    return R\n\n"
+              "class C:\n    def m(self):\n        return mod.R(3)\n\n    def n(self):\n"
+              "        return mod.R\n")
+    assert constructors(source, "R") == {"<module>", "f", "C.m"}
 
 
 def test_verify_checks_form_one_table():
@@ -161,3 +171,14 @@ def test_verify_checks_form_one_table():
     assert constructors(Path(verify.__file__).read_text(), "CheckResult") == {"run_all"}
     names = [name for entries, _ in verify._CHECKS for name, _ in entries]
     assert len(names) == len(set(names))
+
+
+def test_unvalidated_constructors_stay_in_the_algebra():
+    # only the algebra's own operations build atoms and amplitudes past the
+    # dataclass checks, so every outside input goes through those checks
+    callers = {f"{path.stem}.{caller}" for path in MODULES
+               for name in ("_new_atom", "_new_amplitude")
+               for caller in constructors(path.read_text(), name)}
+    assert callers == {"amplitudes._merged", "amplitudes.zero_amplitude", "amplitudes.add",
+                       "amplitudes.add_constant", "amplitudes.scale",
+                       "amplitudes.IncidentWave.delta_source"}

@@ -176,6 +176,28 @@ class TestGreenCutoffQuadrature:
         with pytest.raises(ValidationError):
             kernel.green_cutoff_quadrature(-1.0, 10.0, D1)
 
+    # (value, error estimate), recorded while every node called bessel_j0
+    RECORDED = {
+        (0.0, 2.0): (-0.08742478814151484 - 0.25j, 9.295752212470315e-14),
+        (0.0, 10.0): (-0.3656680191243045 - 0.25j, 1.4825906255629887e-12),
+        (0.0, 100.0): (-0.7329276407343589 - 0.25j, 5.792425321575384e-14),
+        (0.7, 2.0): (-0.041495852168969255 - 0.2203002221518513j, 8.13647348846477e-14),
+        (0.7, 10.0): (-0.045817676725705886 - 0.2203002221518513j, 1.2980451375394384e-12),
+        (0.7, 100.0): (-0.047682768181947055 - 0.2203002221518513j, 4.5864062822765384e-14),
+    }
+
+    @pytest.mark.parametrize("r, lam", sorted(RECORDED))
+    def test_bit_identical_and_no_j0_call_at_origin(self, r, lam, monkeypatch):
+        calls = []
+
+        def counting_j0(x):
+            calls.append(x)
+            return specfun.bessel_j0(x)
+
+        monkeypatch.setattr(kernel, "bessel_j0", counting_j0)
+        assert tuple(kernel.green_cutoff_quadrature(r, lam, D1)) == self.RECORDED[r, lam]
+        assert (len(calls) == 0) == (r == 0.0)
+
 
 class TestRegularizedH0AtZero:
     def test_closed_form_at_ten(self):

@@ -179,6 +179,37 @@ class TestOracleFixedPoint:
             oracle_j0_y0(1.0, prec=19)
 
 
+def decimal_ln_half(x):
+    """(Decimal(x) / 2).ln(Context(prec=50)) with x/2 exact: the value the
+    oracle's integer ln(x/2) is held to, digits and exponent alike."""
+    with localcontext() as ctx:
+        ctx.prec = 2000
+        return (Decimal(x) / 2).ln(Context(prec=50))
+
+
+CHECK_10A_POINTS = [1e-6, 1e-4, 0.01, 0.1, 0.5, 1.0, 2.0, 2.404825557695773, 5.0,
+                    8.0, 11.9, 12.1, 20.0, 50.0, 100.0]
+# subnormal x, x/2 next to 1 (ln within 2^-52 of 0), m at its range's ends
+EDGE_POINTS = [5e-324, 3e-320, 2.2250738585072014e-308, math.nextafter(2.0, 0.0),
+               math.nextafter(2.0, 3.0), 4.0, math.sqrt(2.0), 2.0 * math.sqrt(2.0), 1e300]
+
+
+class TestOracleLn:
+    @pytest.mark.parametrize("x", CHECK_10A_POINTS + EDGE_POINTS)
+    def test_check_and_edge_points(self, x):
+        assert str(verify._oracle_ln_half(x)) == str(decimal_ln_half(x))
+
+    @given(st.floats(min_value=1e-6, max_value=4002.0))
+    def test_matches_decimal_ln(self, x):
+        assert str(verify._oracle_ln_half(x)) == str(decimal_ln_half(x))
+
+    def test_undecided_rounding_goes_to_decimal_ln(self, monkeypatch):
+        # at 168 bits most intervals straddle a 50-digit rounding boundary
+        monkeypatch.setattr(verify, "_LN_BITS", 168)
+        for x in np.geomspace(1e-6, 4002.0, 40):
+            assert str(verify._oracle_ln_half(float(x))) == str(decimal_ln_half(float(x)))
+
+
 class TestHankel:
     def test_definitional_identity_exact(self):
         for x in ORACLE_GRID:
