@@ -71,7 +71,6 @@ from .specfun import (
     hankel1_1_array,
 )
 from .transfer import (
-    Coupling,
     FundamentalSolution,
     TransferEntry,
     auxiliary_entries,

@@ -149,7 +149,7 @@ def add_constant(a: GeneralizedAmplitude, c: complex) -> GeneralizedAmplitude:
 
 
 def scale(a: GeneralizedAmplitude, factor: complex) -> GeneralizedAmplitude:
-    factor = complex(factor)
+    factor = finite_complex("scale factor", factor)
     if factor == 0:
         return zero_amplitude(a.support)
     return _new_amplitude(

@@ -20,9 +20,9 @@ import sys
 from . import fields, kernel, singfree, transfer, verify
 from ._lazy import load_on_first_use
 from .amplitudes import IncidentWave
-from .errors import PointScatterError, ValidationError, finite_real, require_cutoff_above_k
+from .errors import (PointScatterError, ValidationError, coupling, finite_real,
+                     require_cutoff_above_k)
 from .singfree import FamilyParams
-from .transfer import Coupling
 
 np = load_on_first_use("numpy")  # the field renderer's; the small tables need none
 
@@ -426,12 +426,11 @@ def _increasing_cutoffs(lams, k: float) -> list[float]:
 
 def cmd_amplitude(args):
     w = _incident(args)
-    z = Coupling.finite(args.z)
-    z_tilde = Coupling.renormalized(args.z, w.k)
+    z = coupling("coupling", args.z)
     thetas = _theta_values(w, args.theta_grid)
     # both amplitudes are isotropic: one solve serves every angle
     f1 = transfer.scattering_amplitude_dfss(w, z)
-    f2 = transfer.scattering_amplitude_renormalized(w, z_tilde)
+    f2 = transfer.scattering_amplitude_renormalized(w, z)
     header = ["theta", "re_f_dfss", "im_f_dfss", "abs2_f_dfss",
               "re_f_renormalized", "im_f_renormalized", "abs2_f_renormalized",
               "abs_route_difference"]
@@ -452,10 +451,8 @@ def cmd_flow(args):
     d = w.dispersion()
     mu = w.k if args.mu is None else finite_real("--mu", args.mu, above=0.0)
     lams = _increasing_cutoffs(args.lam, w.k)
-    z_tilde = args.z
-    f_ren = transfer.scattering_amplitude_renormalized(
-        w, Coupling.renormalized(z_tilde, mu))
-    z_finite = Coupling.finite(z_tilde)
+    z_tilde = coupling("coupling", args.z)
+    f_ren = transfer.scattering_amplitude_renormalized(w, z_tilde)
     header = ["lambda", "lambda_over_k", "re_z_bare", "im_z_bare",
               "re_green_cutoff_zero", "im_green_cutoff_zero",
               "re_f_bare", "im_f_bare", "re_f_renormalized", "im_f_renormalized",
@@ -466,13 +463,13 @@ def cmd_flow(args):
         z_bare = transfer.flow_bare_coupling(z_tilde, lam, mu)
         g0 = kernel.green_cutoff_zero(lam, d)
         f_bare = transfer.bare_amplitude_with_cutoff(w, z_bare, lam)
-        b_sum = singfree.absorption_condition(z_finite, lam, d)
+        b_sum = singfree.absorption_condition(z_tilde, lam, d)
         b_tilde = singfree.renormalized_b(b_sum, lam, d)
         rows.append([lam, lam / w.k, z_bare.real, z_bare.imag, g0.real, g0.imag,
                      f_bare.real, f_bare.imag, f_ren.real, f_ren.imag,
                      abs(f_bare - f_ren), b_sum.real, b_sum.imag,
                      b_tilde.real, b_tilde.imag])
-    b_limit = singfree.renormalized_b_limit(z_finite)
+    b_limit = singfree.renormalized_b_limit(z_tilde)
     return _table(args, header, rows, {
         "command": "flow",
         "parameters": {"k": _json_float(w.k), "theta0": _json_float(w.theta0),
@@ -485,7 +482,7 @@ def cmd_flow(args):
 def cmd_family(args):
     w = _incident(args)
     d = w.dispersion()
-    z = Coupling.finite(args.z)
+    z = coupling("coupling", args.z)
     lams = _increasing_cutoffs(args.lam, w.k)
     params = FamilyParams(args.b_plus, args.b_minus)
     f_dfss = transfer.scattering_amplitude_dfss(w, z)
@@ -540,7 +537,7 @@ def cmd_field(args):
         params = FamilyParams(args.b_plus, args.b_minus)
         what = f"psi0 of edge weights b+ = {params.b_plus!r}, b- = {params.b_minus!r}"
     else:
-        z = Coupling.finite(args.z)
+        z = coupling("coupling", args.z)
         what = f"the total field at k = {w.k!r}, theta0 = {w.theta0!r}"
     try:
         # one overflow rule for both fields: a value that leaves the float

@@ -58,6 +58,19 @@ def require_cutoff_above_k(lam, k: float) -> float:
     return finite_real("cutoff", lam, above=0.0)
 
 
+def coupling(name: str, value) -> complex:
+    """``value`` as a complex if ``finite_complex`` takes it and its inverse
+    is a finite complex too: the one coupling rule.  Zero reads "must be
+    nonzero"; a value so small that 1/value overflows, or turns into NaN,
+    reads "has no finite inverse"."""
+    z = finite_complex(name, value)
+    if z == 0:
+        raise ValidationError(f"{name} must be nonzero (its inverse must exist)")
+    if not cmath.isfinite(1.0 / z):
+        raise ValidationError(f"{name} {z!r} has no finite inverse")
+    return z
+
+
 class DomainError(ValidationError):
     """Argument outside the mathematical domain of a special function."""
 

@@ -20,12 +20,11 @@ from typing import NamedTuple
 
 from ._lazy import load_on_first_use
 from .amplitudes import IncidentWave
-from .errors import ValidationError, finite_real
+from .errors import ValidationError, coupling, finite_real
 from .kernel import FOUR_PI, TWO_PI
 from .singfree import FamilyParams
 from .specfun import EULER_GAMMA, hankel1_0_array, hankel1_1_array
-from .transfer import (Coupling, _amplitude_pole_denominator, _closed_form_amplitude,
-                       solve_fundamental)
+from .transfer import _amplitude_pole_denominator, _closed_form_amplitude, solve_fundamental
 
 np = load_on_first_use("numpy")
 
@@ -101,7 +100,7 @@ def field_values_at(w: IncidentWave, c_prime: complex, xs, ys) -> np.ndarray:
     return _incident_values(w, xs, ys) + (c_prime / FOUR_PI) * hankel1_0_array(kr)
 
 
-def total_field(w: IncidentWave, z: Coupling, spec: GridSpec) -> FieldGrid:
+def total_field(w: IncidentWave, z: complex, spec: GridSpec) -> FieldGrid:
     """psi(x, y) = e^{i k.r} / (2 pi) + (c'/(4 pi)) H0^(1)(k r) on the grid,
     with its current.
 
@@ -176,7 +175,7 @@ def _transverse_points(w: IncidentWave, radii):
     return radii * ux, radii * uy, radii
 
 
-def near_field_expansion_check(w: IncidentWave, z: Coupling, r_points) -> NearFieldCheck:
+def near_field_expansion_check(w: IncidentWave, z: complex, r_points) -> NearFieldCheck:
     """Residual of the near-field logarithmic form.
 
     Compares the total field at radii with k r <= 0.05 (sampled transverse to
@@ -186,24 +185,25 @@ def near_field_expansion_check(w: IncidentWave, z: Coupling, r_points) -> NearFi
     nonvanishing incident phase an additional O(k r) term would enter the
     budget.
     """
+    z = coupling("coupling", z)
     xs, ys, radii = _transverse_points(w, r_points)
     sol = solve_fundamental(w, z)
     psi = field_values_at(w, sol.c_prime, xs, ys)
-    den = _amplitude_pole_denominator(z.value)
+    den = _amplitude_pole_denominator(z)
     slope = 1.0 / (4.0 * math.pi ** 2 * den)
-    approx = slope * (np.log(0.5 * w.k * radii) + TWO_PI / z.value + EULER_GAMMA)
+    approx = slope * (np.log(0.5 * w.k * radii) + TWO_PI / z + EULER_GAMMA)
     residuals = np.abs(psi - approx)
     return NearFieldCheck(float(residuals.max()),
                           float((residuals / np.abs(psi)).max()))
 
 
-def near_field_log_slope(w: IncidentWave, z: Coupling, r_points) -> complex:
+def near_field_log_slope(w: IncidentWave, z: complex, r_points) -> complex:
     """ln(kr) slope of the near field, by least squares over the given radii.
 
     Matches 1 / (4 pi^2 (z^{-1} + i/4)) as k r -> 0.
     """
-    xs, ys, radii = _transverse_points(w, r_points)
     sol = solve_fundamental(w, z)
+    xs, ys, radii = _transverse_points(w, r_points)
     psi = field_values_at(w, sol.c_prime, xs, ys)
     coeffs = np.polyfit(np.log(w.k * radii), psi, 1)
     return complex(coeffs[0])
@@ -221,15 +221,16 @@ class FarFieldSamples(NamedTuple):
     scale: float
 
 
-def far_field_samples(w: IncidentWave, z: Coupling, kr_values,
+def far_field_samples(w: IncidentWave, z: complex, kr_values,
                       n_theta: int = 240) -> list[FarFieldSamples]:
     """Total field and its far-field asymptotic form on circles of fixed k r.
 
     psi_asym = [e^{i k.r} + sqrt(i/(k r)) e^{i k r} f] / (2 pi), at n_theta
     angles centred in equal bins of [-pi, pi).
     """
+    z = coupling("coupling", z)
     sol = solve_fundamental(w, z)
-    f = _closed_form_amplitude(z.value)
+    f = _closed_form_amplitude(z)
     thetas = -math.pi + (np.arange(n_theta) + 0.5) * TWO_PI / n_theta
     out = []
     for kr in kr_values:

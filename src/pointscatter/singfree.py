@@ -23,11 +23,11 @@ import math
 from dataclasses import dataclass
 
 from .amplitudes import Atom, GeneralizedAmplitude, FULL_LINE, IncidentWave
-from .errors import (PoleError, PointScatterError, ValidationError, finite_complex,
+from .errors import (PoleError, PointScatterError, ValidationError, coupling, finite_complex,
                      require_cutoff_above_k)
 from .kernel import FOUR_PI, TWO_PI, Dispersion, regularized_h0_at_zero, varpi
 from .specfun import hankel1_0
-from .transfer import Coupling, FINITE, _amplitude, _amplitude_pole_denominator, _residual_scale
+from .transfer import _amplitude, _amplitude_pole_denominator, _residual_scale
 
 
 @dataclass(frozen=True)
@@ -76,14 +76,12 @@ class FRepresentation:
                 + self.background_over_varpi * math.pi * h_reg)
 
 
-def _family_denominator(z: Coupling, lam: float, d: Dispersion) -> complex:
-    if z.kind != FINITE:
-        raise ValidationError("the solution family takes a finite coupling")
+def _family_denominator(z: complex, lam: float, d: Dispersion) -> complex:
     h_reg = regularized_h0_at_zero(lam, d)
-    den = 1.0 / z.value + 0.25j * h_reg
+    den = 1.0 / z + 0.25j * h_reg
     if den == 0:
         raise PoleError(
-            f"coupling {z.value!r} hits the regularized family pole at cutoff {lam!r}")
+            f"coupling {z!r} hits the regularized family pole at cutoff {lam!r}")
     return den
 
 
@@ -93,7 +91,7 @@ def _overflow(params: FamilyParams, what: str, lam: float) -> ValidationError:
         f"overflow {what} at cutoff {lam!r}")
 
 
-def family_solution(w: IncidentWave, z: Coupling, params: FamilyParams,
+def family_solution(w: IncidentWave, z: complex, params: FamilyParams,
                     lam: float) -> tuple[FRepresentation, complex]:
     """Member of the solution family at cutoff lam.
 
@@ -103,6 +101,7 @@ def family_solution(w: IncidentWave, z: Coupling, params: FamilyParams,
     Edge weights so large that c or that check leaves the float range are a
     ValidationError.
     """
+    z = coupling("coupling", z)
     d = w.dispersion()
     den = _family_denominator(z, lam, d)
     c = -1j * (1.0 + params.b_minus + params.b_plus) / (2.0 * den)
@@ -110,11 +109,11 @@ def family_solution(w: IncidentWave, z: Coupling, params: FamilyParams,
         raise _overflow(params, "the family constant", lam)
     f_repr = FRepresentation(w.p0, w.k, params.b_plus, params.b_minus, c)
 
-    c_check = (-1j * z.value / FOUR_PI) * f_repr.integrate_plain(lam, d)
+    c_check = (-1j * z / FOUR_PI) * f_repr.integrate_plain(lam, d)
     try:
         residual = abs(c_check - c)
         # the background c/varpi integrates to pi c H0_reg on the cutoff line
-        bound = 1e-12 * _residual_scale(z.value, c * regularized_h0_at_zero(lam, d))
+        bound = 1e-12 * _residual_scale(z, c * regularized_h0_at_zero(lam, d))
     except OverflowError:  # a modulus beyond the float range
         raise _overflow(params, "the fixed-point check", lam) from None
     if not residual <= bound:  # a NaN residual fails too
@@ -125,7 +124,7 @@ def family_solution(w: IncidentWave, z: Coupling, params: FamilyParams,
     return f_repr, c
 
 
-def family_amplitude(w: IncidentWave, z: Coupling, params: FamilyParams,
+def family_amplitude(w: IncidentWave, z: complex, params: FamilyParams,
                      lam: float) -> complex:
     """Amplitude of the family member:
     f = -(1/sqrt(8 pi)) (1 + b- + b+) / (z^{-1} + (i/4) H0_reg).
@@ -135,14 +134,14 @@ def family_amplitude(w: IncidentWave, z: Coupling, params: FamilyParams,
     |f| ~ 1/ln(lam); with the absorption choice it reproduces the
     singularity-free amplitude exactly at every finite cutoff.
     """
-    den = _family_denominator(z, lam, w.dispersion())
+    den = _family_denominator(coupling("coupling", z), lam, w.dispersion())
     f = _amplitude(den, 1.0 + params.b_minus + params.b_plus)
     if not cmath.isfinite(f):
         raise _overflow(params, "the family amplitude", lam)
     return f
 
 
-def absorption_condition(z: Coupling, lam: float, d: Dispersion) -> complex:
+def absorption_condition(z: complex, lam: float, d: Dispersion) -> complex:
     """Value of b- + b+ that absorbs the regularized singularity at this cutoff.
 
     Inverting the matching condition gives
@@ -150,11 +149,10 @@ def absorption_condition(z: Coupling, lam: float, d: Dispersion) -> complex:
     round-trip against the fundamental-route amplitude is an equality test
     rather than a limit statement.
     """
-    if z.kind != FINITE:
-        raise ValidationError("the absorption condition takes a finite coupling")
-    _amplitude_pole_denominator(z.value)  # PoleError at and next to z = 4i
+    z = coupling("coupling", z)
+    _amplitude_pole_denominator(z)  # PoleError at and next to z = 4i
     h_reg = regularized_h0_at_zero(lam, d)
-    return (h_reg - 1.0) / (1.0 - 4j / z.value)
+    return (h_reg - 1.0) / (1.0 - 4j / z)
 
 
 def renormalized_b(params_sum: complex, lam: float, d: Dispersion) -> complex:
@@ -164,10 +162,11 @@ def renormalized_b(params_sum: complex, lam: float, d: Dispersion) -> complex:
     return 1j * math.pi * b_sum / (2.0 * math.log(lam / d.k))
 
 
-def renormalized_b_limit(z: Coupling) -> complex:
+def renormalized_b_limit(z: complex) -> complex:
     """Infinite-cutoff limit of the renormalized edge weight: z / (z - 4i)."""
-    _amplitude_pole_denominator(z.value)  # PoleError at and next to z = 4i
-    return z.value / (z.value - 4j)
+    z = coupling("coupling", z)
+    _amplitude_pole_denominator(z)  # PoleError at and next to z = 4i
+    return z / (z - 4j)
 
 
 def regularized_h0_position_scheme(lam: float, d: Dispersion) -> complex:

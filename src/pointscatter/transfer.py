@@ -32,49 +32,11 @@ from .amplitudes import (
     integrate_inverse_varpi,
     scale,
 )
-from .errors import (PoleError, PointScatterError, ValidationError, finite_complex,
-                     finite_real, require_cutoff_above_k)
+from .errors import PoleError, PointScatterError, coupling, finite_real, require_cutoff_above_k
 from .kernel import FOUR_PI, Dispersion, green_cutoff_zero
 
 SQRT_2PI = math.sqrt(2.0 * math.pi)
 SQRT_8PI = math.sqrt(8.0 * math.pi)
-
-FINITE = "finite"
-RENORMALIZED = "renormalized"
-
-
-@dataclass(frozen=True)
-class Coupling:
-    """Coupling constant in one of two interpretations.
-
-    finite        -- the physical coupling of the singularity-free route;
-    renormalized  -- scheme/scale-dependent, carries the momentum scale mu.
-    """
-
-    kind: str
-    value: complex
-    mu: float | None = None
-
-    def __post_init__(self):
-        if self.kind not in (FINITE, RENORMALIZED):
-            raise ValidationError(f"unknown coupling kind {self.kind!r}")
-        value = finite_complex("coupling", self.value)
-        if value == 0:
-            raise ValidationError("coupling must be nonzero (its inverse must exist)")
-        if not cmath.isfinite(1.0 / value):
-            raise ValidationError(f"coupling {value!r} has no finite inverse")
-        object.__setattr__(self, "value", value)
-        if self.kind == RENORMALIZED:
-            object.__setattr__(self, "mu", finite_real("scale mu", self.mu, above=0.0))
-
-    @classmethod
-    def finite(cls, z: complex) -> "Coupling":
-        return cls(FINITE, z)
-
-    @classmethod
-    def renormalized(cls, z: complex, mu: float) -> "Coupling":
-        return cls(RENORMALIZED, z, mu=mu)
-
 
 def _amplitude_pole_denominator(z: complex) -> complex:
     """z^{-1} + i/4; vanishing marks the excluded coupling z = 4i.  So does a
@@ -120,28 +82,27 @@ def _magnitude(a: GeneralizedAmplitude) -> float:
     return m
 
 
-def auxiliary_entries(z: Coupling, lam: float, d: Dispersion):
+def auxiliary_entries(z: complex, lam: float, d: Dispersion):
     """Nontrivial entries of the auxiliary transfer matrix at cutoff lam.
 
     M12 = -(i z / 4 pi) * full-line smear, M22 = identity + (i z / 4 pi) *
     full-line smear; the full line is represented at the finite cutoff only.
     """
+    z = coupling("coupling", z)
     dom = cutoff_line(lam)
     require_cutoff_above_k(dom.lam, d.k)
-    coeff = 1j * z.value / FOUR_PI
+    coeff = 1j * z / FOUR_PI
     return (TransferEntry(0j, -coeff, dom), TransferEntry(1.0 + 0j, coeff, dom))
 
 
-def fundamental_entries(z: Coupling, d: Dispersion):
+def fundamental_entries(z: complex, d: Dispersion):
     """Nontrivial entries of the fundamental transfer matrix (band smear).
 
     Identical in form to the auxiliary entries with the integration domain
     replaced by the traveling band: the projection sandwich is what makes
     the fundamental route blind to the evanescent divergence.
     """
-    if z.kind != FINITE:
-        raise ValidationError("the fundamental transfer matrix takes a finite coupling")
-    coeff = 1j * z.value / FOUR_PI
+    coeff = 1j * coupling("coupling", z) / FOUR_PI
     return (TransferEntry(0j, -coeff, BAND_DOMAIN), TransferEntry(1.0 + 0j, coeff, BAND_DOMAIN))
 
 
@@ -164,7 +125,7 @@ class FundamentalSolution:
     c_prime: complex
 
 
-def solve_fundamental(w: IncidentWave, z: Coupling) -> FundamentalSolution:
+def solve_fundamental(w: IncidentWave, z: complex) -> FundamentalSolution:
     """Solve M22 B- = 2 pi varpi(p0) delta_{p0} by the atom + constant ansatz.
 
     The closed-form constant is c' = -i / (2 (z^{-1} + i/4)); the returned
@@ -172,10 +133,9 @@ def solve_fundamental(w: IncidentWave, z: Coupling) -> FundamentalSolution:
     residual of M22 B- against the source is verified to 1e-12 max(1, |c'|, S)
     before returning, with S from ``_residual_scale(z, c')``.
     """
-    if z.kind != FINITE:
-        raise ValidationError("solve_fundamental takes a finite coupling")
+    z = coupling("coupling", z)
     d = w.dispersion()
-    den = _amplitude_pole_denominator(z.value)
+    den = _amplitude_pole_denominator(z)
     c_prime = -0.5j / den
 
     source = w.delta_source(BAND)
@@ -185,13 +145,13 @@ def solve_fundamental(w: IncidentWave, z: Coupling) -> FundamentalSolution:
 
     residual = add(m22.apply(b_minus, d), scale(source, -1.0))
     # written so that a NaN residual fails the check
-    if not _magnitude(residual) <= 1e-12 * _residual_scale(z.value, c_prime):
+    if not _magnitude(residual) <= 1e-12 * _residual_scale(z, c_prime):
         raise PointScatterError(
             f"internal solve inconsistency: residual {_magnitude(residual):.3e}")
     return FundamentalSolution(b_minus, a_plus, c_prime)
 
 
-def scattering_amplitude_dfss(w: IncidentWave, z: Coupling) -> complex:
+def scattering_amplitude_dfss(w: IncidentWave, z: complex) -> complex:
     """Scattering amplitude from the fundamental transfer matrix.
 
     Isotropic by construction: f = -(1/sqrt(8 pi)) / (z^{-1} + i/4) at every
@@ -202,28 +162,25 @@ def scattering_amplitude_dfss(w: IncidentWave, z: Coupling) -> complex:
     rounding in the smear that yields A+; it does not check the
     transmission-side value against the closed form, which it returns.
     """
-    if z.kind != FINITE:
-        raise ValidationError("the singularity-free amplitude takes a finite coupling")
+    z = coupling("coupling", z)
     sol = solve_fundamental(w, z)
     f_transmission = -1j * sol.a_plus.background / SQRT_2PI
     f_reflection = -1j * sol.b_minus.background / SQRT_2PI
-    f = _closed_form_amplitude(z.value)
-    tol = 1e-14 * _residual_scale(z.value, sol.c_prime)
+    f = _closed_form_amplitude(z)
+    tol = 1e-14 * _residual_scale(z, sol.c_prime)
     if not (abs(f_transmission - f_reflection) <= tol and abs(f_reflection - f) <= tol):
         raise PointScatterError("extraction paths for the amplitude disagree")
     return f
 
 
-def scattering_amplitude_renormalized(w: IncidentWave, z_tilde: Coupling) -> complex:
+def scattering_amplitude_renormalized(w: IncidentWave, z_tilde: complex) -> complex:
     """Scattering amplitude of the standard renormalized route.
 
     Same closed form as the singularity-free amplitude with the renormalized
-    coupling in place of the finite one; with equal numeric couplings the two
-    functions return bit-identical values.
+    coupling z~ at mu = k in place of the finite one; with equal numeric
+    couplings the two functions return bit-identical values.
     """
-    if z_tilde.kind != RENORMALIZED:
-        raise ValidationError("expected a renormalized coupling")
-    return _closed_form_amplitude(z_tilde.value)
+    return _closed_form_amplitude(coupling("coupling", z_tilde))
 
 
 def flow_bare_coupling(z: complex, lam: float, mu: float) -> complex:
@@ -233,9 +190,7 @@ def flow_bare_coupling(z: complex, lam: float, mu: float) -> complex:
     and the cutoff lam it is the bare coupling; with the scales swapped it
     renormalizes a bare coupling, so each map is the other's inverse.
     """
-    z = finite_complex("coupling", z)
-    if z == 0:
-        raise ValidationError("coupling must be nonzero")
+    z = coupling("coupling", z)
     lam, mu = finite_real("scale lam", lam, above=0.0), finite_real("scale mu", mu, above=0.0)
     log_term = math.log(lam / mu) / (2.0 * math.pi)
     if log_term == 0.0:
@@ -253,9 +208,7 @@ def bare_amplitude_with_cutoff(w: IncidentWave, z_bare: complex, lam: float) -> 
     this decays logarithmically with the cutoff; along the renormalization
     flow it stabilizes onto the renormalized amplitude.
     """
-    z_bare = finite_complex("bare coupling", z_bare)
-    if z_bare == 0:
-        raise ValidationError("bare coupling must be nonzero")
+    z_bare = coupling("bare coupling", z_bare)
     d = w.dispersion()
     g0 = green_cutoff_zero(lam, d)
     den = 1.0 / z_bare - g0

@@ -26,7 +26,6 @@ from .errors import (ConvergenceError, DomainError, PointScatterError, Validatio
                      finite_real)
 from .kernel import Dispersion
 from .singfree import FamilyParams
-from .transfer import Coupling
 
 np = load_on_first_use("numpy")
 scipy = load_on_first_use("scipy")  # scipy.integrate loads when first reached
@@ -235,9 +234,8 @@ def _route_agreement(run):
         mag = 10.0 ** run.rng.uniform(-1.0, 1.0)
         phase = run.rng.uniform(0.0, 2.0 * math.pi)
         zv = mag * complex(math.cos(phase), math.sin(phase))
-        f1 = transfer.scattering_amplitude_dfss(w, Coupling.finite(zv))
-        f2 = transfer.scattering_amplitude_renormalized(
-            w, Coupling.renormalized(zv, 1.0))
+        f1 = transfer.scattering_amplitude_dfss(w, zv)
+        f2 = transfer.scattering_amplitude_renormalized(w, zv)
         residuals.append(abs(f1 - f2))
     return np.max(residuals)
 
@@ -246,7 +244,7 @@ def _route_agreement(run):
 def _solve_residual(run):
     w = IncidentWave(1.0, math.pi)
     sign = -1.0 if run.inject_fault else 1.0
-    return np.max([abs(transfer.solve_fundamental(w, Coupling.finite(zv)).c_prime
+    return np.max([abs(transfer.solve_fundamental(w, zv).c_prime
                        - sign * (-0.5j) / (1.0 / zv + 0.25j)) for zv in _COUPLINGS])
 
 
@@ -295,7 +293,7 @@ def _scheme_matching(run):
 def _flow_collapse(run):
     w = IncidentWave(1.0, math.pi)
     z_tilde, mu = 1.0, w.k
-    f_ren = transfer.scattering_amplitude_renormalized(w, Coupling.renormalized(z_tilde, mu))
+    f_ren = transfer.scattering_amplitude_renormalized(w, z_tilde)
     diffs = []
     for lam in (1e2, 1e4, 1e6):
         z_bare = transfer.flow_bare_coupling(z_tilde, lam, mu)
@@ -309,8 +307,7 @@ def _absorption_roundtrip(run):
     w = IncidentWave(1.0, math.pi)
     d = w.dispersion()
     residuals = []
-    for zv in _COUPLINGS:
-        z = Coupling.finite(zv)
+    for z in _COUPLINGS:
         f_ref = transfer.scattering_amplitude_dfss(w, z)
         c_prime = transfer.solve_fundamental(w, z).c_prime
         for lam in (2.0, 10.0, 100.0):
@@ -324,7 +321,7 @@ def _absorption_roundtrip(run):
 @_check(("7b-family-sum-only", 0.0))
 def _family_sum_dependence(run):
     w = IncidentWave(1.0, math.pi)
-    z = Coupling.finite(2.0 - 1.0j)
+    z = 2.0 - 1.0j
     return np.max([abs(singfree.family_amplitude(w, z, FamilyParams(b, 0j), 10.0)
                        - singfree.family_amplitude(w, z, FamilyParams(0j, b), 10.0))
                    for b in (0.7 + 0.3j, -2.0j, 5.0)])
@@ -334,7 +331,7 @@ def _family_sum_dependence(run):
 def _b_tilde_limit(run):
     # |b_tilde - limit| at three cutoffs, then extrapolated in 1/ln(lam)
     d = Dispersion(1.0)
-    z = Coupling.finite(1.0)
+    z = 1.0
     target = singfree.renormalized_b_limit(z)
     samples = []
     for lam in (1e3, 1e6, 1e9):
@@ -349,7 +346,7 @@ def _b_tilde_limit(run):
 def _unitarity_circle(run):
     w = IncidentWave(1.0, math.pi)
     target = -math.sqrt(2.0 * math.pi) / 2.0
-    amplitudes = [transfer.scattering_amplitude_dfss(w, Coupling.finite(zv))
+    amplitudes = [transfer.scattering_amplitude_dfss(w, zv)
                   for zv in (0.1, 1.0, 10.0, -3.0)]
     return np.max([abs((1.0 / f).imag - target) for f in amplitudes])
 
@@ -360,7 +357,7 @@ def _far_field_decay(run):
     # scattered-wave amplitude, strays from (kr)^-1 decay between circles
     w = IncidentWave(1.0, math.pi)
     circles = [(s.kr, float(s.residual.max()) / s.scale)
-               for s in fields.far_field_samples(w, Coupling.finite(1.0), (20.0, 50.0, 100.0))]
+               for s in fields.far_field_samples(w, 1.0, (20.0, 50.0, 100.0))]
     factors = []
     for (kr_a, rel_a), (kr_b, rel_b) in zip(circles, circles[1:]):
         actual, predicted = rel_a / rel_b, kr_b / kr_a
@@ -374,7 +371,7 @@ def _near_field_slope(run):
     radii = np.geomspace(1e-3, 1e-2, 12)
     residuals = []
     for zv in (1.0, 2.0j):
-        slope = fields.near_field_log_slope(w, Coupling.finite(zv), radii)
+        slope = fields.near_field_log_slope(w, zv, radii)
         closed = 1.0 / (4.0 * math.pi ** 2 * (1.0 / zv + 0.25j))
         residuals.append(abs(slope - closed) / abs(closed))
     return np.max(residuals)
@@ -399,7 +396,7 @@ def _psi0_current(run):
 def _current_divergence(run):
     w = IncidentWave(1.0, math.pi)
     spec = fields.GridSpec(0.8, 2.2, 71, 0.8, 2.2, 71)
-    grid = fields.total_field(w, Coupling.finite(1.0), spec)
+    grid = fields.total_field(w, 1.0, spec)
     div, valid = fields.current_divergence(grid)
     scale = w.k * max(float(np.nanmax(np.abs(grid.jx))), float(np.nanmax(np.abs(grid.jy))))
     return float(np.nanmax(np.abs(div[valid]))) / scale

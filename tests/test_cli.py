@@ -21,7 +21,6 @@ from pointscatter._lazy import load_on_first_use
 from pointscatter.amplitudes import IncidentWave
 from pointscatter.errors import PointScatterError
 from pointscatter.singfree import FamilyParams
-from pointscatter.transfer import Coupling
 
 THETA0 = "3.141592653589793"
 
@@ -211,6 +210,34 @@ class TestCutoffDiagnostics:
         # lam/k itself overflowing is the error, worded as for family
         expected = (1, "", f"{self.ERROR}lam/k overflows for lam = 1e+300, k = 1e-100\n")
         assert run(["flow", "--k=1e-100", "--lambda=1e300"], capsys) == expected
+
+
+class TestCouplingDiagnostics:
+    """The exact line each rejected --z prints, alone and beside another bad
+    argument: amplitude and family report the coupling first, flow its
+    cutoff list first."""
+
+    ERROR = f"{cli.ERROR_PREFIX} ValidationError: "
+    LINES = {
+        "0,0": "coupling must be nonzero (its inverse must exist)",
+        "1e-320,0": "coupling (1e-320+0j) has no finite inverse",
+        "nan,0": "coupling must be a finite complex number, got (nan+0j)",
+    }
+    CUTOFFS = "cutoff list must be strictly increasing"
+
+    @pytest.mark.parametrize("z", list(LINES))
+    @pytest.mark.parametrize("command, extra, line", [
+        ("amplitude", [], None),
+        ("amplitude", ["--theta-grid=2"], None),  # N = 2 hits theta0 = pi
+        ("flow", [], None),
+        ("flow", ["--lambda=10,2"], CUTOFFS),
+        ("family", [], None),
+        ("family", ["--lambda=10,2"], None),
+        ("field", ["--grid=-1,1,5,-1,1,5"], None),
+    ])
+    def test_line(self, command, extra, line, z, capsys):
+        expected = (1, "", f"{self.ERROR}{line or self.LINES[z]}\n")
+        assert run([command, f"--z={z}", *extra], capsys) == expected
 
 
 class TestStrongCoupling:
@@ -654,8 +681,7 @@ def _reference_field_payloads(k, theta0, source, grid_axes, fmt):
     if psi0_only:
         grid = fields.psi0_field(source, k, spec)
     else:
-        coupling = Coupling.finite(source)
-        grid = fields.total_field(w, coupling, spec)
+        grid = fields.total_field(w, source, spec)
     header = ["x", "y", "re_psi", "im_psi", "abs2_psi", "jx", "jy", "mask"]
     rows = []
     for i, xv in enumerate(grid.x):
@@ -666,8 +692,8 @@ def _reference_field_payloads(k, theta0, source, grid_axes, fmt):
                          float(grid.excluded_mask[i, j])])
     tables = [("rows", header, rows)]
     if not psi0_only:
-        c_prime = transfer.solve_fundamental(w, coupling).c_prime
-        f = transfer._closed_form_amplitude(coupling.value)
+        c_prime = transfer.solve_fundamental(w, source).c_prime
+        f = transfer._closed_form_amplitude(source)
         far_header = ["kr", "theta", "re_psi", "im_psi", "re_psi_asymptotic",
                       "im_psi_asymptotic", "abs_residual", "relative_residual"]
         far_rows = []
@@ -702,8 +728,8 @@ def _reference_amplitude_bytes(k, theta0, z, n, fmt):
     rows = []
     for j in range(n):
         theta = -0.5 * math.pi + (j + 0.5) * 2.0 * math.pi / n
-        f1 = transfer.scattering_amplitude_dfss(w, Coupling.finite(z))
-        f2 = transfer.scattering_amplitude_renormalized(w, Coupling.renormalized(z, k))
+        f1 = transfer.scattering_amplitude_dfss(w, z)
+        f2 = transfer.scattering_amplitude_renormalized(w, z)
         rows.append([theta, f1.real, f1.imag, abs(f1) ** 2,
                      f2.real, f2.imag, abs(f2) ** 2, abs(f1 - f2)])
     if fmt == "csv":
@@ -971,8 +997,7 @@ class TestFixedMantissas:
     def test_default_field_grid_takes_the_integer_path(self):
         # a slide back onto "%.15g" would keep the bytes and lose the speed
         w = IncidentWave(1.0, math.pi)
-        grid = fields.total_field(w, Coupling.finite(1.0),
-                                  fields.GridSpec(-2.0, 2.0, 201, -2.0, 2.0, 201))
+        grid = fields.total_field(w, 1.0, fields.GridSpec(-2.0, 2.0, 201, -2.0, 2.0, 201))
         _, rows, _ = cli._field_rows(grid)
         fixed, slots = cli._fixed_slots(rows.ravel())
         assert len(slots) == rows.size and np.count_nonzero(fixed) >= 0.95 * rows.size

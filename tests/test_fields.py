@@ -11,10 +11,9 @@ from pointscatter import fields, specfun, transfer
 from pointscatter.errors import ValidationError
 from pointscatter.fields import GridSpec
 from pointscatter.singfree import FamilyParams
-from pointscatter.transfer import Coupling
 
 W = amp.IncidentWave(1.0, math.pi)
-Z1 = Coupling.finite(1.0)
+Z1 = 1.0
 
 # H0(1) from the frozen Bessel values
 H0_AT_1 = complex(0.7651976865579666, 0.08825696421567696)
@@ -48,7 +47,7 @@ class TestGridSpec:
 class TestTotalField:
     def test_weak_coupling_is_plane_wave(self):
         spec = GridSpec(-1.0, 1.0, 5, -1.0, 1.0, 5)
-        grid = fields.total_field(W, Coupling.finite(1e-12), spec)
+        grid = fields.total_field(W, 1e-12, spec)
         X, Y = np.meshgrid(grid.x, grid.y, indexing="ij")
         plane = np.exp(1j * (-W.varpi0 * X + W.p0 * Y)) / (2.0 * math.pi)
         ok = ~grid.excluded_mask
@@ -88,7 +87,7 @@ class TestTotalField:
     def test_scattered_part_proportional_to_c_prime(self):
         # (psi(z1) - plane) / (psi(z2) - plane) is constant across the grid
         spec = GridSpec(0.5, 2.0, 21, -1.0, 1.0, 21)
-        z2 = Coupling.finite(2.0j)
+        z2 = 2.0j
         g1 = fields.total_field(W, Z1, spec)
         g2 = fields.total_field(W, z2, spec)
         X, Y = np.meshgrid(g1.x, g1.y, indexing="ij")
@@ -133,7 +132,7 @@ class TestNearField:
     @pytest.mark.parametrize("zv", [1.0, 2.0j])
     def test_log_slope_matches_closed_form(self, zv):
         radii = np.geomspace(1e-3, 1e-2, 12)
-        slope = fields.near_field_log_slope(W, Coupling.finite(zv), radii)
+        slope = fields.near_field_log_slope(W, zv, radii)
         closed = 1.0 / (4.0 * math.pi ** 2 * (1.0 / zv + 0.25j))
         assert abs(slope - closed) / abs(closed) < 0.01
 
@@ -229,11 +228,11 @@ def _rim_flux(grid):
 class TestCurrentDensity:
     DEFAULT = GridSpec(-2.0, 2.0, 201, -2.0, 2.0, 201)
 
-    @pytest.mark.parametrize("k, theta0, zv", [(1.0, math.pi, 1.0), (1.7, 2.5, 2.0 - 1.0j),
-                                               (0.6, 4.0, 0.5j)])
-    def test_matches_hankel1_reference(self, k, theta0, zv):
+    @pytest.mark.parametrize("k, theta0, z", [(1.0, math.pi, 1.0), (1.7, 2.5, 2.0 - 1.0j),
+                                              (0.6, 4.0, 0.5j)])
+    def test_matches_hankel1_reference(self, k, theta0, z):
         # every unmasked node, the rim and the origin's neighbours included
-        w, z = amp.IncidentWave(k, theta0), Coupling.finite(zv)
+        w = amp.IncidentWave(k, theta0)
         grid = fields.total_field(w, z, self.DEFAULT)
         jx, jy = _reference_current(w, z, grid)
         ok = ~grid.excluded_mask
@@ -241,13 +240,13 @@ class TestCurrentDensity:
         err = np.hypot(grid.jx - jx, grid.jy - jy)[ok] / np.hypot(jx, jy)[ok]
         assert err.max() <= 1e-12
 
-    @pytest.mark.parametrize("k, theta0, zv, spec", [
+    @pytest.mark.parametrize("k, theta0, z, spec", [
         (1.0, math.pi, 1.0, DEFAULT),
         (1.7, 2.5, 2.0 - 1.0j, GridSpec(-1.0, 1.0, 41, -1.0, 1.0, 41)),
         (0.6, 4.0, 0.5j, GridSpec(0.8, 2.2, 71, 0.8, 2.2, 71)),
     ], ids=["default", "centered", "offset"])
-    def test_bit_identical_to_the_gathered_fill(self, k, theta0, zv, spec):
-        w, z = amp.IncidentWave(k, theta0), Coupling.finite(zv)
+    def test_bit_identical_to_the_gathered_fill(self, k, theta0, z, spec):
+        w = amp.IncidentWave(k, theta0)
         grid = fields.total_field(w, z, spec)
         for got, want in zip((grid.values, grid.jx, grid.jy), _gathered_fill(w, z, spec)):
             assert np.array_equal(got, want, equal_nan=True)
@@ -260,7 +259,7 @@ class TestCurrentDensity:
 
     def test_plane_wave_current(self):
         # weak coupling: J -> 2 k_inc / (2 pi)^2 on every node, the rim included
-        grid = fields.total_field(W, Coupling.finite(1e-12), GridSpec(0.5, 2.0, 11, 0.5, 2.0, 11))
+        grid = fields.total_field(W, 1e-12, GridSpec(0.5, 2.0, 11, 0.5, 2.0, 11))
         target = 2.0 / (2.0 * math.pi) ** 2
         assert np.max(np.abs(grid.jx + W.varpi0 * target)) < 1e-13
         assert np.max(np.abs(grid.jy - W.p0 * target)) < 1e-13
@@ -273,7 +272,7 @@ class TestCurrentDensity:
         f = transfer._closed_form_amplitude(zv)
         expected = -(4.0 / math.pi) * (1.0 / zv).imag * abs(f) ** 2
         a = half_width
-        grid = fields.total_field(W, Coupling.finite(zv), GridSpec(-a, a, 201, -a, a, 201))
+        grid = fields.total_field(W, zv, GridSpec(-a, a, 201, -a, a, 201))
         net, total = _rim_flux(grid)
         assert abs(net - expected) <= 1e-9 * total
 

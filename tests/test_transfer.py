@@ -6,7 +6,6 @@ from pointscatter import amplitudes as amp
 from pointscatter import transfer
 from pointscatter.errors import PoleError, ValidationError
 from pointscatter.kernel import Dispersion, green_cutoff_zero
-from pointscatter.transfer import Coupling
 
 D1 = Dispersion(1.0)
 W = amp.IncidentWave(1.0, math.pi)
@@ -23,35 +22,22 @@ def random_band_amplitude(rng):
                                     amp.BAND)
 
 
-class TestCoupling:
-    def test_zero_rejected_everywhere(self):
-        # 1e-320 is nonzero, but its reciprocal overflows
-        for value in (0.0, 1e-320, complex(1e-320, 1e-320)):
-            for maker in (Coupling.finite, lambda z: Coupling.renormalized(z, 1.0)):
-                with pytest.raises(ValidationError):
-                    maker(value)
-
-    def test_renormalized_requires_scale(self):
-        with pytest.raises(ValidationError):
-            Coupling(transfer.RENORMALIZED, 1.0)
-
-
 class TestEntries:
     def test_auxiliary_m12_turns_source_into_background(self):
-        m12, _ = transfer.auxiliary_entries(Coupling.finite(1.0), 10.0, D1)
+        m12, _ = transfer.auxiliary_entries(1.0, 10.0, D1)
         out = m12.apply(W.delta_source(amp.FULL_LINE), D1)
         assert out.atoms == ()
         assert abs(out.background - (-0.5j)) < 1e-14  # -i z / 2 at z = 1
 
     def test_auxiliary_m22_keeps_atom_adds_background(self):
-        _, m22 = transfer.auxiliary_entries(Coupling.finite(1.0), 10.0, D1)
+        _, m22 = transfer.auxiliary_entries(1.0, 10.0, D1)
         src = W.delta_source(amp.FULL_LINE)
         out = m22.apply(src, D1)
         assert out.atoms == src.atoms
         assert abs(out.background - 0.5j) < 1e-14
 
     def test_free_limit_is_identity(self):
-        m12, m22 = transfer.auxiliary_entries(Coupling.finite(1e-30), 10.0, D1)
+        m12, m22 = transfer.auxiliary_entries(1e-30, 10.0, D1)
         src = W.delta_source(amp.FULL_LINE)
         assert abs(m12.apply(src, D1).background) < 1e-29
         out = m22.apply(src, D1)
@@ -59,7 +45,7 @@ class TestEntries:
         assert abs(out.background) < 1e-29
 
     def test_fundamental_equals_auxiliary_with_band_domain(self):
-        z = Coupling.finite(2.0 - 1.0j)
+        z = 2.0 - 1.0j
         f12, f22 = transfer.fundamental_entries(z, D1)
         a12, a22 = transfer.auxiliary_entries(z, 10.0, D1)
         assert f12.rank_one_coefficient == a12.rank_one_coefficient
@@ -67,17 +53,13 @@ class TestEntries:
         assert f12.domain == amp.BAND_DOMAIN and f22.domain == amp.BAND_DOMAIN
 
     def test_fundamental_m22_on_background(self):
-        _, m22 = transfer.fundamental_entries(Coupling.finite(1.0), D1)
+        _, m22 = transfer.fundamental_entries(1.0, D1)
         out = m22.apply(amp.GeneralizedAmplitude((), 1.0, amp.BAND), D1)
         assert abs(out.background - (1.0 + 0.25j)) < 1e-14  # 1 + i z / 4
 
-    def test_fundamental_requires_finite(self):
-        with pytest.raises(ValidationError):
-            transfer.fundamental_entries(Coupling.renormalized(1.0, 1.0), D1)
-
     def test_projection_sandwich_identity(self, rng):
         # fundamental action == project o auxiliary o project, exactly
-        z = Coupling.finite(0.7 + 0.3j)
+        z = 0.7 + 0.3j
         f12, f22 = transfer.fundamental_entries(z, D1)
         a12, a22 = transfer.auxiliary_entries(z, 25.0, D1)
         for _ in range(10):
@@ -91,66 +73,60 @@ class TestEntries:
 
 class TestSolveFundamental:
     def test_closed_form_constant_at_unit_coupling(self):
-        sol = transfer.solve_fundamental(W, Coupling.finite(1.0))
+        sol = transfer.solve_fundamental(W, 1.0)
         assert abs(sol.c_prime - C_PRIME_AT_1) < 1e-15
 
     def test_hand_value_at_two_i(self):
-        sol = transfer.solve_fundamental(W, Coupling.finite(2.0j))
+        sol = transfer.solve_fundamental(W, 2.0j)
         assert abs(sol.c_prime - 2.0) < 1e-14
 
     def test_weak_coupling_limit(self):
-        sol = transfer.solve_fundamental(W, Coupling.finite(1e-10))
+        sol = transfer.solve_fundamental(W, 1e-10)
         assert abs(sol.c_prime) < 1e-9
         assert sol.b_minus.atoms == W.delta_source(amp.BAND).atoms
 
     def test_solution_structure(self):
-        sol = transfer.solve_fundamental(W, Coupling.finite(1.0))
+        sol = transfer.solve_fundamental(W, 1.0)
         assert sol.b_minus.background == sol.c_prime
         assert abs(sol.a_plus.background - sol.c_prime) < 1e-15
         assert sol.a_plus.atoms == ()
 
     def test_pole_at_four_i(self):
         with pytest.raises(PoleError):
-            transfer.solve_fundamental(W, Coupling.finite(4.0j))
+            transfer.solve_fundamental(W, 4.0j)
 
 
 class TestScatteringAmplitudes:
     def test_frozen_value_at_unit_coupling(self):
-        f = transfer.scattering_amplitude_dfss(W, Coupling.finite(1.0))
+        f = transfer.scattering_amplitude_dfss(W, 1.0)
         assert abs(f - F_AT_1) < 1e-15
 
     def test_routes_agree_bitwise(self, rng):
         for _ in range(10):
             zv = complex(rng.normal(), rng.normal())
-            f1 = transfer.scattering_amplitude_dfss(W, Coupling.finite(zv))
-            f2 = transfer.scattering_amplitude_renormalized(
-                W, Coupling.renormalized(zv, 1.0))
+            f1 = transfer.scattering_amplitude_dfss(W, zv)
+            f2 = transfer.scattering_amplitude_renormalized(W, zv)
             assert f1 == f2
 
     def test_unitarity_circle_for_real_couplings(self):
         target = -math.sqrt(2.0 * math.pi) / 2.0
         for zv in (0.1, 0.5, 1.0, 3.0, 10.0, -3.0):
-            f = transfer.scattering_amplitude_dfss(W, Coupling.finite(zv))
+            f = transfer.scattering_amplitude_dfss(W, zv)
             assert abs((1.0 / f).imag - target) < 1e-12
             # the cross section |f|^2 = (1/(8 pi)) / (z^-2 + 1/16)
             assert abs(abs(f) ** 2 - (1.0 / (8.0 * math.pi)) / (zv ** -2 + 1.0 / 16.0)) < 1e-15
 
     def test_strong_coupling_magnitude_limit(self):
-        f = transfer.scattering_amplitude_renormalized(
-            W, Coupling.renormalized(1e8, 1.0))
+        f = transfer.scattering_amplitude_renormalized(W, 1e8)
         assert abs(abs(f) - math.sqrt(2.0 / math.pi)) < 1e-7
 
     def test_weak_coupling_vanishes(self):
-        f = transfer.scattering_amplitude_dfss(W, Coupling.finite(1e-12))
+        f = transfer.scattering_amplitude_dfss(W, 1e-12)
         assert abs(f) < 1e-12
 
     def test_pole_error(self):
         with pytest.raises(PoleError):
-            transfer.scattering_amplitude_dfss(W, Coupling.finite(4.0j))
-
-    def test_renormalized_requires_kind(self):
-        with pytest.raises(ValidationError):
-            transfer.scattering_amplitude_renormalized(W, Coupling.finite(1.0))
+            transfer.scattering_amplitude_dfss(W, 4.0j)
 
 
 class TestRenormalizationFlow:
@@ -189,8 +165,7 @@ class TestRenormalizationFlow:
         assert f100 < f10
 
     def test_flow_collapse_is_monotone(self):
-        f_ren = transfer.scattering_amplitude_renormalized(
-            W, Coupling.renormalized(1.0, 1.0))
+        f_ren = transfer.scattering_amplitude_renormalized(W, 1.0)
         diffs = []
         for lam in (1e2, 1e3, 1e4):
             z_bare = transfer.flow_bare_coupling(1.0, lam, 1.0)

@@ -12,14 +12,12 @@ import pytest
 
 from pointscatter import amplitudes as amp
 from pointscatter import fields, kernel, singfree, transfer
-from pointscatter.errors import ValidationError, require_cutoff_above_k
+from pointscatter.errors import ValidationError, coupling, require_cutoff_above_k
 from pointscatter.fields import GridSpec
 from pointscatter.singfree import FamilyParams
-from pointscatter.transfer import Coupling
 
 D1 = kernel.Dispersion(1.0)
 W = amp.IncidentWave(1.0, math.pi)
-Z1 = Coupling.finite(1.0)
 SPEC = GridSpec(-0.1, 0.1, 3, -0.1, 0.1, 3)
 PARAMS = FamilyParams(1.0, 0j)
 
@@ -53,14 +51,13 @@ ARGUMENTS = [
     ("cutoff_line.lam", amp.cutoff_line, NOT_POSITIVE),
     ("IncidentWave.k", lambda v: amp.IncidentWave(v, math.pi), NOT_POSITIVE),
     ("IncidentWave.theta0", lambda v: amp.IncidentWave(1.0, v), NOT_POSITIVE),
-    ("Coupling.renormalized.mu", lambda v: Coupling.renormalized(1.0, v), NOT_POSITIVE),
     ("flow_bare_coupling.lam",
      lambda v: transfer.flow_bare_coupling(1.0, v, 1.0), NOT_POSITIVE),
     ("flow_bare_coupling.mu",
      lambda v: transfer.flow_bare_coupling(1.0, 1.0, v), NOT_POSITIVE),
     ("bare_amplitude_with_cutoff.lam",
      lambda v: transfer.bare_amplitude_with_cutoff(W, 1.0, v), NOT_POSITIVE),
-    ("auxiliary_entries.lam", lambda v: transfer.auxiliary_entries(Z1, v, D1), NOT_POSITIVE),
+    ("auxiliary_entries.lam", lambda v: transfer.auxiliary_entries(1.0, v, D1), NOT_POSITIVE),
     ("psi0_field.k", lambda v: fields.psi0_field(PARAMS, v, SPEC), NOT_POSITIVE),
     ("renormalized_b.lam", lambda v: singfree.renormalized_b(1.0, v, D1), NOT_POSITIVE),
     ("regularized_h0_position_scheme.lam",
@@ -75,18 +72,45 @@ NOT_COMPLEX = [None, "1", True, math.nan, complex(math.inf, 0.0)]
 
 # (id, callable of the bad value) for each validated complex argument
 COMPLEX_ARGUMENTS = [
-    ("Coupling.finite", Coupling.finite),
-    ("Coupling.renormalized.z", lambda v: Coupling.renormalized(v, 1.0)),
     ("FamilyParams.b_plus", lambda v: FamilyParams(v, 0j)),
     ("FamilyParams.b_minus", lambda v: FamilyParams(0j, v)),
-    ("flow_bare_coupling.z", lambda v: transfer.flow_bare_coupling(v, 1.0, 1.0)),
-    ("bare_amplitude_with_cutoff.z_bare",
-     lambda v: transfer.bare_amplitude_with_cutoff(W, v, 10.0)),
     ("renormalized_b.params_sum", lambda v: singfree.renormalized_b(v, 10.0, D1)),
+    ("scale.factor", lambda v: amp.scale(amp.GeneralizedAmplitude(((0.5, 1.0),), 1j), v)),
 ]
 
 CASES += [pytest.param(call, bad, id=f"{name}={bad!r}")
           for name, call in COMPLEX_ARGUMENTS for bad in NOT_COMPLEX]
+
+# 1e-320 is nonzero, but its reciprocal overflows; with an imaginary part too
+# it turns into NaN
+NOT_INVERTIBLE = [0, 1e-320, complex(1e-320, 1e-320)]
+RADII = (0.01, 0.02, 0.04)
+
+# (id, callable of the coupling) for each function that takes one; every
+# coupling goes through errors.coupling, so each must reject the same values
+COUPLING_ARGUMENTS = [
+    ("auxiliary_entries.z", lambda v: transfer.auxiliary_entries(v, 10.0, D1)),
+    ("fundamental_entries.z", lambda v: transfer.fundamental_entries(v, D1)),
+    ("solve_fundamental.z", lambda v: transfer.solve_fundamental(W, v)),
+    ("scattering_amplitude_dfss.z", lambda v: transfer.scattering_amplitude_dfss(W, v)),
+    ("scattering_amplitude_renormalized.z_tilde",
+     lambda v: transfer.scattering_amplitude_renormalized(W, v)),
+    ("flow_bare_coupling.z", lambda v: transfer.flow_bare_coupling(v, 10.0, 1.0)),
+    ("bare_amplitude_with_cutoff.z_bare",
+     lambda v: transfer.bare_amplitude_with_cutoff(W, v, 10.0)),
+    ("family_solution.z", lambda v: singfree.family_solution(W, v, PARAMS, 10.0)),
+    ("family_amplitude.z", lambda v: singfree.family_amplitude(W, v, PARAMS, 10.0)),
+    ("absorption_condition.z", lambda v: singfree.absorption_condition(v, 10.0, D1)),
+    ("renormalized_b_limit.z", singfree.renormalized_b_limit),
+    ("total_field.z", lambda v: fields.total_field(W, v, SPEC)),
+    ("near_field_expansion_check.z",
+     lambda v: fields.near_field_expansion_check(W, v, RADII)),
+    ("near_field_log_slope.z", lambda v: fields.near_field_log_slope(W, v, RADII)),
+    ("far_field_samples.z", lambda v: fields.far_field_samples(W, v, (20.0,), 4)),
+]
+
+CASES += [pytest.param(call, bad, id=f"{name}={bad!r}")
+          for name, call in COUPLING_ARGUMENTS for bad in NOT_COMPLEX + NOT_INVERTIBLE]
 
 
 @pytest.mark.parametrize("call, bad", CASES)
@@ -111,9 +135,23 @@ def test_numpy_float_and_int_accepted():
         transfer.flow_bare_coupling(1.0, 100.0, 1.0)
 
 
+@pytest.mark.parametrize("call", [call for _, call in COUPLING_ARGUMENTS],
+                         ids=[name for name, _ in COUPLING_ARGUMENTS])
+def test_coupling_accepts_int_and_numpy_complex(call):
+    # repr shows a numpy scalar that leaks into a result, and every field of it
+    assert repr(call(2)) == repr(call(np.complex128(2.0))) == repr(call(2.0 + 0j))
+
+
+@pytest.mark.parametrize("call", [fields.near_field_expansion_check,
+                                  fields.near_field_log_slope])
+def test_coupling_checked_before_radii(call):
+    with pytest.raises(ValidationError, match="^coupling must be nonzero"):
+        call(W, 0, (0.0,))
+
+
 def test_numpy_complex_and_int_accepted():
     for value in (2, np.complex128(2.0)):
-        z = Coupling.finite(value).value
+        z = coupling("coupling", value)
         assert type(z) is complex and z == 2.0
     params = FamilyParams(np.complex128(1j), 3)
     assert (params.b_plus, params.b_minus) == (1j, 3.0)
