@@ -93,7 +93,9 @@ COUPLING_ARGUMENTS = [
     ("fundamental_entries.z", lambda v: transfer.fundamental_entries(v, D1)),
     ("solve_fundamental.z", lambda v: transfer.solve_fundamental(W, v)),
     ("scattering_amplitude_dfss.z", lambda v: transfer.scattering_amplitude_dfss(W, v)),
-    ("scattering_amplitude_renormalized.z_tilde",
+    # shortened from scattering_amplitude_renormalized so that every test id of
+    # this row stays within 100 characters
+    ("amplitude_renormalized.z_tilde",
      lambda v: transfer.scattering_amplitude_renormalized(W, v)),
     ("flow_bare_coupling.z", lambda v: transfer.flow_bare_coupling(v, 10.0, 1.0)),
     ("bare_amplitude_with_cutoff.z_bare",
